@@ -20,11 +20,14 @@
 // computes once cluster-wide), fresh results replicate to the ring
 // successor, and submissions wholly owned by another healthy node are
 // answered with a 307 to it. With -gateway (plus -peers), the daemon
-// instead fronts the cluster: incoming sweeps are split into per-owner
-// point batches, fanned out, streamed as one merged SSE feed, and
-// reassembled into the byte-identical result document a single node
-// would produce; points are computed locally when no healthy owner
-// remains. Without -peers everything behaves exactly as a single node.
+// instead fronts the cluster: it is the same job server — scheduler,
+// SSE streams, partial results, disk cache — but every point its own
+// cache misses runs on the key's ring owner as a one-point sub-job
+// (failing over along the ring, and computed locally when no healthy
+// node remains), so a sweep renders the byte-identical result document
+// a single node would. -executors bounds the gateway's in-flight
+// remote points. Without -peers everything behaves exactly as a single
+// node.
 //
 // Jobs are decomposed into grid points and scheduled point-by-point:
 // weighted-fair across tenants (the X-Tenant request header; -tenants
@@ -117,18 +120,17 @@ func run() error {
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = one per CPU)")
 	counters := flag.Bool("counters", false, "simulate every point with per-GPM/per-link observability counters")
 	queueCap := flag.Int("queue", 16, "admission queue capacity (jobs beyond it get 429)")
-	keepJobs := flag.Int("keep-jobs", 0, "retained terminal job records (0 = max(64, -queue); raise it when a gateway fans thousands of sub-jobs through this node)")
+	keepJobs := flag.Int("keep-jobs", 0, "retained terminal job records (0 = max(64, -queue))")
 	executors := flag.Int("executors", 2, "concurrently executing points")
 	gpmParallel := flag.Int("gpm-parallel", 1, "per-simulation GPM lanes, clamped so lanes*executors <= GOMAXPROCS (results are byte-identical at any value)")
 	tenants := flag.String("tenants", "", "per-tenant scheduler config: name=weight[:maxinflight],... (unlisted tenants get weight 1)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "how long a graceful drain may take before aborting")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (empty = single-node)")
 	self := flag.String("self", "", "this node's own base URL as it appears in -peers (required with -peers unless -gateway)")
-	gateway := flag.Bool("gateway", false, "front the -peers cluster: split sweeps by ring owner, fan out, merge streams")
+	gateway := flag.Bool("gateway", false, "front the -peers cluster: run each point on its ring owner")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per physical node on the hash ring")
 	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "per-peer cache request timeout (includes in-flight waits)")
 	noReplicate := flag.Bool("no-replicate", false, "disable pushing fresh results to the key's ring owner and successor")
-	gatewayQueue := flag.Int("gateway-queue", 512, "concurrently admitted parent jobs in gateway mode")
 	freqMHz := flag.Float64("freq", 0, "default K40 V/f-curve operating point in MHz for grid jobs that did not pick one (0 = nominal 1000)")
 	version := flag.Bool("version", false, "print schema and module version, then exit")
 	flag.Parse()
@@ -177,8 +179,8 @@ func run() error {
 	}
 
 	// Terminal-job retention must outlast the admission queue: a
-	// gateway reads a sub-job's events after it finishes, so a node
-	// that admits N concurrent jobs but remembers only 64 would prune
+	// client reads a job's events after it finishes, so a node that
+	// admits N concurrent jobs but remembers only 64 would prune
 	// results before they are collected.
 	kj := *keepJobs
 	if kj <= 0 {
@@ -200,34 +202,30 @@ func run() error {
 		Logf:           logger.Printf,
 		DefaultFreqMHz: *freqMHz,
 	}
-	if fab != nil && !*gateway {
+	switch {
+	case *gateway:
+		sopts.Cluster = fab.GatewayHooks()
+	case fab != nil:
 		sopts.Cluster = fab.Hooks()
 	}
 	srv, err := service.New(sopts)
 	if err != nil {
 		return err
 	}
-
-	handler := srv.Handler()
-	if fab != nil && !*gateway {
+	if fab != nil {
 		srv.AddMetrics(fab.WriteMetrics)
-		logger.Printf("cluster node %s in ring %v", *self, fab.Ring().Nodes())
-	}
-	if *gateway {
-		gw := cluster.NewGateway(srv, fab, cluster.GatewayOptions{
-			MaxJobs:  *gatewayQueue,
-			KeepJobs: *gatewayQueue,
-			Logf:     logger.Printf,
-		})
-		handler = gw.Handler()
-		logger.Printf("gateway fronting ring %v", fab.Ring().Nodes())
+		if *gateway {
+			logger.Printf("gateway fronting ring %v", fab.Ring().Nodes())
+		} else {
+			logger.Printf("cluster node %s in ring %v", *self, fab.Ring().Nodes())
+		}
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

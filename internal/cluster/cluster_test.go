@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,9 +90,19 @@ func startNodes(t *testing.T, n int, fopts func(*Options)) []*testNode {
 	return nodes
 }
 
+// testGateway is a gateway under test: a plain service.Server whose
+// cache misses run on the ring through its fabric's GatewayHooks.
+type testGateway struct {
+	url string
+	srv *service.Server
+	fab *Fabric
+	cl  *service.Client
+}
+
 // startGateway fronts the node set with a gateway on its own httptest
-// server and returns a client dialed at it.
-func startGateway(t *testing.T, nodes []*testNode) (*Gateway, *service.Client) {
+// server, with a client dialed at it. executors bounds the gateway's
+// in-flight remote points.
+func startGateway(t *testing.T, nodes []*testNode, executors int, opts ...service.ClientOption) *testGateway {
 	t.Helper()
 	urls := make([]string, len(nodes))
 	for i, nd := range nodes {
@@ -100,23 +113,44 @@ func startGateway(t *testing.T, nodes []*testNode) (*Gateway, *service.Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fab.Close)
-	local, err := service.New(service.Options{
+	srv, err := service.New(service.Options{
 		CacheDir:  filepath.Join(t.TempDir(), "gateway"),
-		Executors: 4,
+		Executors: executors,
 		QueueCap:  64,
+		Cluster:   fab.GatewayHooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(local.Close)
-	gw := NewGateway(local, fab, GatewayOptions{})
-	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	cl, err := service.Dial(service.WithBaseURL(ts.URL))
+	cl, err := service.Dial(append([]service.ClientOption{service.WithBaseURL(ts.URL)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gw, cl
+	return &testGateway{url: ts.URL, srv: srv, fab: fab, cl: cl}
+}
+
+// singleNodeDigest is the reference: the sha256 of spec's result
+// document from one plain single-node service.
+func singleNodeDigest(t *testing.T, spec service.JobSpec) string {
+	t.Helper()
+	single, err := service.New(service.Options{Executors: 2, QueueCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	st, err := single.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := single.Wait(context.Background(), st.ID)
+	if err != nil || fin.State != service.StateDone {
+		t.Fatalf("single-node reference: %+v, err %v", fin, err)
+	}
+	pts, results, _ := single.Result(st.ID)
+	return service.ResultDocDigest(service.MakeResultDoc(pts, results))
 }
 
 // testSpec is the shared sweep for the determinism tests: small enough
@@ -154,7 +188,7 @@ func TestClusterDeterminism(t *testing.T) {
 
 	// Distributed: 3 nodes behind a gateway, streamed.
 	nodes := startNodes(t, 3, nil)
-	_, gcl := startGateway(t, nodes)
+	gcl := startGateway(t, nodes, 4).cl
 	var mismatches int
 	gotDoc, err := gcl.RunSweepStream(ctx, spec, func(ev service.JobEvent) {
 		if ev.Kind == service.EventDigestMismatch {
@@ -267,5 +301,226 @@ func TestRouteReroutesUnhealthy(t *testing.T) {
 	fab.MarkFailed("http://c:1")
 	if got := fab.Route(key); got != "" {
 		t.Errorf("route with all remotes down = %q; want \"\" (local compute)", got)
+	}
+}
+
+// TestGatewaySchedulerFeatures: a gateway is a plain service.Server,
+// so the scheduler's features cover gateway traffic with no copy of
+// them. Through a 3-node gateway, a priority-10 job submitted mid-sweep
+// finishes first, a running job serves ?partial=1, SSE resumes from
+// Last-Event-ID, and every remotely resolved point event names its
+// node — while both documents stay sha256-identical to a single-node
+// run.
+func TestGatewaySchedulerFeatures(t *testing.T) {
+	ctx := context.Background()
+	low := service.JobSpec{Workloads: "Stream,Kmeans", Scale: 0.05, GPMs: "1,2,4,8", BWs: "1x,2x"}
+	high := service.JobSpec{Workloads: "BFS", Scale: 0.05, GPMs: "1,2", BWs: "1x", Priority: 10}
+	lowRef, highRef := singleNodeDigest(t, low), singleNodeDigest(t, high)
+
+	nodes := startNodes(t, 3, nil)
+	// One executor: the gateway resolves one point at a time, so the
+	// dispatch order is the scheduler's decision alone.
+	gw := startGateway(t, nodes, 1)
+	stLow, err := gw.cl.Submit(ctx, low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "the low-priority job's first point", func() bool {
+		st, ok := gw.srv.Status(stLow.ID)
+		return ok && st.PointsDone >= 1
+	})
+	stHigh, err := gw.cl.Submit(ctx, high)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The low job is mid-sweep: its partial document has the final
+	// shape with some, not all, points resolved.
+	partial, err := gw.cl.Partial(ctx, stLow.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := 0
+	for _, p := range partial.Points {
+		if p.Result != nil {
+			resolved++
+		}
+	}
+	if len(partial.Points) != stLow.Points || resolved == 0 || resolved == stLow.Points {
+		t.Errorf("partial doc: %d points, %d resolved; want %d points, partly resolved", len(partial.Points), resolved, stLow.Points)
+	}
+
+	finHigh, err := gw.cl.Wait(ctx, stHigh.ID, 5*time.Millisecond)
+	if err != nil || finHigh.State != service.StateDone {
+		t.Fatalf("high-priority job: %+v, err %v", finHigh, err)
+	}
+	finLow, err := gw.cl.Wait(ctx, stLow.ID, 5*time.Millisecond)
+	if err != nil || finLow.State != service.StateDone {
+		t.Fatalf("low-priority job: %+v, err %v", finLow, err)
+	}
+	if !finHigh.Finished.Before(finLow.Finished) {
+		t.Errorf("high-priority job finished at %v, after the low-priority job (%v)", finHigh.Finished, finLow.Finished)
+	}
+	if finLow.Preemptions != 1 {
+		t.Errorf("low-priority job preemptions = %d, want 1", finLow.Preemptions)
+	}
+	for _, c := range []struct {
+		id, ref string
+	}{{stLow.ID, lowRef}, {stHigh.ID, highRef}} {
+		doc, err := gw.cl.Result(ctx, c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := service.ResultDocDigest(*doc); got != c.ref {
+			t.Errorf("job %s: gateway digest %s != single-node digest %s", c.id, got, c.ref)
+		}
+	}
+	// Every partial entry is the final entry.
+	final, err := gw.cl.Result(ctx, stLow.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range partial.Points {
+		if p.Result == nil {
+			continue
+		}
+		a, _ := json.Marshal(p)
+		b, _ := json.Marshal(final.Points[i])
+		if string(a) != string(b) {
+			t.Errorf("partial point %d differs from the final document", i)
+		}
+	}
+
+	// Every point resolved on a ring node, and its event says which.
+	urls := map[string]bool{}
+	for _, nd := range nodes {
+		urls[nd.url] = true
+	}
+	var all []service.JobEvent
+	if _, err := gw.cl.Stream(ctx, stLow.ID, 0, func(ev service.JobEvent) error {
+		all = append(all, ev)
+		if ev.Kind == service.EventPoint && !urls[ev.Node] {
+			t.Errorf("point event %+v does not name a ring node", ev)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// SSE resume: Last-Event-ID k replays exactly the events after k.
+	const lastSeen = 2
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, gw.url+"/v1/jobs/"+stLow.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", fmt.Sprint(lastSeen))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ids []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if id, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) != len(all)-lastSeen-1 || len(ids) == 0 || ids[0] != fmt.Sprint(lastSeen+1) || ids[len(ids)-1] != fmt.Sprint(all[len(all)-1].Seq) {
+		t.Errorf("resumed stream ids %v; want %d..%d", ids, lastSeen+1, all[len(all)-1].Seq)
+	}
+}
+
+// TestGatewayFailover: a point whose owner is dead fails over along
+// the ring, and the document is still sha256-identical to a
+// single-node run.
+func TestGatewayFailover(t *testing.T) {
+	ctx := context.Background()
+	spec := service.JobSpec{Workloads: "Stream,Kmeans", Scale: 0.06, GPMs: "1,2", BWs: "1x,2x"}
+	ref := singleNodeDigest(t, spec)
+
+	nodes := startNodes(t, 3, nil)
+	gw := startGateway(t, nodes, 2)
+	pts, err := service.ExpandPoints(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := gw.fab.Route(pts[0].Key())
+	for _, nd := range nodes {
+		if nd.url == dead {
+			nd.ts.CloseClientConnections()
+			nd.ts.Close()
+		}
+	}
+	doc, err := gw.cl.RunSweepStream(ctx, spec, func(ev service.JobEvent) {
+		if ev.Kind == service.EventPoint && (ev.Node == "" || ev.Node == dead) {
+			t.Errorf("point event %+v: want a live ring node", ev)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := service.ResultDocDigest(*doc); got != ref {
+		t.Errorf("post-kill gateway digest %s != single-node digest %s", got, ref)
+	}
+	if n := gw.fab.failovers.Load(); n == 0 {
+		t.Error("no failover counted for the dead owner's points")
+	}
+}
+
+// TestGatewayCancelPropagates: cancelling a gateway job cancels its
+// remote sub-jobs too, instead of leaving them running on their nodes.
+func TestGatewayCancelPropagates(t *testing.T) {
+	ctx := context.Background()
+	const tenant = "cancel-test"
+	// Two points of a few seconds each, many launches apiece: the
+	// simulation checks for cancellation between launches.
+	spec := service.JobSpec{Workloads: "MiniAMR", Scale: 2, GPMs: "4", BWs: "1x,2x"}
+
+	nodes := startNodes(t, 3, nil)
+	gw := startGateway(t, nodes, 2, service.WithTenant(tenant))
+	st, err := gw.cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subJobs := func() (live, cancelled int) {
+		for _, nd := range nodes {
+			for _, js := range nd.srv.Jobs() {
+				switch {
+				case js.Tenant != tenant:
+				case !js.State.Terminal():
+					live++
+				case js.State == service.StateCancelled:
+					cancelled++
+				}
+			}
+		}
+		return live, cancelled
+	}
+	waitFor(t, 30*time.Second, "a remote sub-job to start", func() bool {
+		live, _ := subJobs()
+		return live > 0
+	})
+	if _, err := gw.cl.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "every remote sub-job to be cancelled", func() bool {
+		live, cancelled := subJobs()
+		return live == 0 && cancelled > 0
+	})
+	if fin, err := gw.cl.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || fin.State != service.StateCancelled {
+		t.Errorf("gateway job: %+v, err %v; want cancelled", fin, err)
+	}
+}
+
+// waitFor polls cond until it holds or the bound expires.
+func waitFor(t *testing.T, bound time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(bound)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", bound, what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gpujoule/internal/profiling"
+	"gpujoule/internal/runner"
 	"gpujoule/internal/service"
 	"gpujoule/internal/sim"
 )
@@ -38,20 +40,23 @@ type Options struct {
 	// NoReplicate disables pushing fresh results to the key's ring
 	// owner and successor.
 	NoReplicate bool
-	// HTTPClient is the shared transport for peer requests (default: a
-	// fresh client; pass one with a large pool for big clusters).
+	// HTTPClient is the shared transport for peer and gateway sub-job
+	// requests (default: a fresh client; pass one with a large pool for
+	// big clusters).
 	HTTPClient *http.Client
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
-// Fabric is one node's view of the cluster: the ring, per-peer
-// health, cache peering, and the replication queue. Wire it into a
-// service.Server via Hooks().
+// Fabric is one server's view of the cluster: the ring, per-peer
+// health, cache peering, the replication queue, and — for a gateway —
+// ring-routed remote execution. Wire it into a service.Server via
+// Hooks() on a ring node or GatewayHooks() on a gateway.
 type Fabric struct {
 	self    string
 	ring    *Ring
 	health  *healthTracker
+	hc      *http.Client
 	clients map[string]*service.Client
 	timeout time.Duration
 	logfFn  func(format string, args ...any)
@@ -70,6 +75,8 @@ type Fabric struct {
 	repDropped  atomic.Uint64 // replica pushes dropped on a full queue
 	repErrors   atomic.Uint64 // replica deliveries that failed
 	repEnqueued atomic.Uint64 // replica deliveries accepted into the queue
+	subJobs     atomic.Uint64 // gateway sub-jobs submitted (incl. failover resubmits)
+	failovers   atomic.Uint64 // gateway points rerouted after a node failure
 }
 
 // repTask is one queued replica delivery.
@@ -103,6 +110,7 @@ func NewFabric(opts Options) (*Fabric, error) {
 		self:    opts.Self,
 		ring:    NewRing(opts.Nodes, opts.VNodes),
 		health:  newHealthTracker(),
+		hc:      hc,
 		clients: map[string]*service.Client{},
 		timeout: opts.PeerTimeout,
 		logfFn:  opts.Logf,
@@ -156,16 +164,10 @@ func (f *Fabric) logf(format string, args ...any) {
 	}
 }
 
-// MarkFailed records an out-of-band failure of a node (a gateway batch
-// that died mid-stream), entering it into health backoff so routing
-// steers around it.
+// MarkFailed records an out-of-band failure of a node (a gateway
+// sub-job that died mid-stream), entering it into health backoff so
+// routing steers around it.
 func (f *Fabric) MarkFailed(node string) { f.health.MarkFail(node) }
-
-// MarkOK records an out-of-band success.
-func (f *Fabric) MarkOK(node string) { f.health.MarkOK(node) }
-
-// Available reports whether the node is currently routable.
-func (f *Fabric) Available(node string) bool { return f.health.Available(node) }
 
 // Route returns the node that should handle simKey right now: the
 // ring owner if healthy, else its first healthy successor ("degrading"
@@ -188,15 +190,16 @@ func (f *Fabric) Route(simKey string) string {
 	return ""
 }
 
-// PeerGet consults the key's owner and first replica for a cached
+// peerGet consults the key's owner and first replica for a cached
 // result, joining an in-flight computation on the serving node
 // (wait=1) so a hot key computes once cluster-wide. It validates the
 // peer's cache stamp and the entry's decodability before trusting it.
-// Implements service.ClusterHooks.PeerGet.
-func (f *Fabric) PeerGet(ctx context.Context, simKey, cacheKey string) (*sim.Result, bool) {
+// A ring node's service.ClusterHooks.Resolve: hits resolve with source
+// "peer" and the serving node.
+func (f *Fabric) peerGet(ctx context.Context, _ string, _ service.JobSpec, pt runner.Point, cacheKey string) (*sim.Result, string, string, bool, error) {
 	stamp := service.CacheStamp()
 	consulted := false
-	for _, node := range f.ring.Successors(simKey, 2) {
+	for _, node := range f.ring.Successors(pt.Key(), 2) {
 		if node == f.self || !f.health.Available(node) {
 			continue
 		}
@@ -210,8 +213,8 @@ func (f *Fabric) PeerGet(ctx context.Context, simKey, cacheKey string) (*sim.Res
 				// key): a miss, not a failure.
 				continue
 			}
-			if ctx.Err() != nil {
-				return nil, false // our own job died; don't blame the peer
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, "", "", false, cerr // our own job died; don't blame the peer
 			}
 			f.peerErrors.Add(1)
 			f.health.MarkFail(node)
@@ -234,12 +237,116 @@ func (f *Fabric) PeerGet(ctx context.Context, simKey, cacheKey string) (*sim.Res
 			continue
 		}
 		f.peerHits.Add(1)
-		return &res, true
+		return &res, "peer", node, true, nil
 	}
 	if consulted {
 		f.peerMisses.Add(1)
 	}
-	return nil, false
+	return nil, "", "", false, nil
+}
+
+// cancelTimeout bounds the DELETE a gateway sends to abandon a remote
+// sub-job once the point's own context is gone.
+const cancelTimeout = 5 * time.Second
+
+// runRemote is a gateway's service.ClusterHooks.Resolve: it runs the
+// point on its ring route (the owner, or the first healthy successor
+// past an unhealthy one) as a one-point explicit sub-job billed to the
+// owning job's tenant, with the job's priority and deadline. The
+// sub-job's stream is digest-checked by the client, and the point
+// resolves with the node's own source and URL. A node that fails is
+// put in health backoff and the point moves to the first healthy
+// successor not yet tried; with no candidate left it reports ok false
+// and the gateway computes the point itself.
+func (f *Fabric) runRemote(ctx context.Context, tenant string, spec service.JobSpec, pt runner.Point, _ string) (*sim.Result, string, string, bool, error) {
+	key := pt.Key()
+	sub := service.SpecFor(spec, []runner.Point{pt})
+	var tried []string
+	for node := f.Route(key); node != ""; node = f.nextUntried(key, tried) {
+		res, src, err := f.runOn(ctx, node, tenant, sub)
+		if err == nil {
+			f.health.MarkOK(node)
+			return res, src, node, true, nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, "", "", false, cerr
+		}
+		tried = append(tried, node)
+		f.MarkFailed(node)
+		f.failovers.Add(1)
+		f.logf("cluster: %s on %s failed (%v); failing over", pt, node, err)
+	}
+	return nil, "", "", false, nil
+}
+
+// nextUntried returns the key's first healthy ring successor not in
+// tried, or "" when the chain is exhausted.
+func (f *Fabric) nextUntried(key string, tried []string) string {
+	for _, node := range f.ring.Successors(key, f.ring.Len()) {
+		if node != f.self && !slices.Contains(tried, node) && f.health.Available(node) {
+			return node
+		}
+	}
+	return ""
+}
+
+// runOn runs one explicit-point sub-job on node and returns its result
+// and the source the node reported. When ctx dies the sub-job is
+// cancelled on the node: RunSweepStream only drops the stream, which
+// would leave the node spending executors on a point nobody is waiting
+// for. Cancelling needs the sub-job's id, and a submit aborted in
+// flight may still be admitted, so a ctx that dies before the node has
+// answered the submission gives it cancelTimeout to answer first.
+func (f *Fabric) runOn(ctx context.Context, node, tenant string, sub service.JobSpec) (*sim.Result, string, error) {
+	sctx, scancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer scancel()
+	var submitted atomic.Bool
+	stop := context.AfterFunc(ctx, func() {
+		if submitted.Load() {
+			scancel()
+		} else {
+			time.AfterFunc(cancelTimeout, scancel)
+		}
+	})
+	defer stop()
+	var id, src string
+	c, err := service.Dial(
+		service.WithBaseURL(node),
+		service.WithTenant(tenant),
+		service.WithNoRedirect(),
+		service.WithHTTPClient(f.hc),
+		service.WithLogf(f.logfFn),
+		service.WithSubmitted(func(st service.JobStatus) {
+			id = st.ID
+			submitted.Store(true)
+			if ctx.Err() != nil {
+				scancel()
+			}
+		}),
+	)
+	if err != nil {
+		return nil, "", err
+	}
+	f.subJobs.Add(1)
+	doc, err := c.RunSweepStream(sctx, sub, func(ev service.JobEvent) {
+		if ev.Kind == service.EventPoint {
+			src = ev.Source
+		}
+	})
+	if err != nil {
+		if ctx.Err() != nil && id != "" {
+			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelTimeout)
+			if _, cerr := c.Cancel(cctx, id); cerr != nil {
+				f.logf("cluster: cancelling sub-job %s on %s: %v", id, node, cerr)
+			}
+			cancel()
+		}
+		return nil, "", err
+	}
+	if len(doc.Points) != 1 || doc.Points[0].Result == nil {
+		return nil, "", fmt.Errorf("cluster: node %s returned no result for sub-job %s", node, id)
+	}
+	return doc.Points[0].Result, src, nil
 }
 
 // Replicate enqueues a freshly computed result for delivery to the
@@ -286,16 +393,26 @@ func (f *Fabric) replicator() {
 	}
 }
 
-// Hooks bundles the fabric into the service's cluster seam.
+// Hooks bundles a ring node's fabric into the service's cluster seam:
+// peer-cache resolution, replication, and 307 routing.
 func (f *Fabric) Hooks() *service.ClusterHooks {
 	h := &service.ClusterHooks{
-		PeerGet:    f.PeerGet,
+		Resolve:    f.peerGet,
 		RouteOwner: f.Route,
 	}
 	if !f.repOff {
 		h.Replicate = f.Replicate
 	}
 	return h
+}
+
+// GatewayHooks bundles a gateway's fabric (Self "") into the service's
+// cluster seam: every point the gateway's own cache misses runs on its
+// ring route. A gateway neither replicates nor redirects, so clients
+// always stream from the gateway, never from a node that may die
+// mid-stream.
+func (f *Fabric) GatewayHooks() *service.ClusterHooks {
+	return &service.ClusterHooks{Resolve: f.runRemote}
 }
 
 // WriteMetrics emits the fabric's Prometheus families; register it on
@@ -315,4 +432,6 @@ func (f *Fabric) WriteMetrics(w io.Writer) {
 	profiling.WriteGauge(w, "gpujoule_cluster_replica_pending", "Replica deliveries queued and not yet delivered (replication lag).", float64(pending))
 	profiling.WriteGauge(w, "gpujoule_cluster_peers_unhealthy", "Peers currently in health backoff.", float64(len(f.health.Unhealthy())))
 	profiling.WriteGauge(w, "gpujoule_cluster_ring_nodes", "Physical nodes in the hash ring.", float64(f.ring.Len()))
+	profiling.WriteCounter(w, "gpujoule_gateway_subjobs", "One-point sub-jobs a gateway submitted to cluster nodes (including failover resubmits).", float64(f.subJobs.Load()))
+	profiling.WriteCounter(w, "gpujoule_gateway_failovers", "Gateway points rerouted after a node failure.", float64(f.failovers.Load()))
 }

@@ -16,13 +16,13 @@
 //     sim keys. Joining a node moves ~1/(N+1) of the key space.
 //   - health.go: passive per-peer health with exponential backoff and
 //     half-open probing.
-//   - fabric.go: the per-node view — routing with reroute-on-
+//   - fabric.go: the per-server view — routing with reroute-on-
 //     unhealthy, cache peering over /v1/cache (owner + one replica,
-//     joining in-flight computations), and async best-effort
-//     replication of fresh results.
-//   - gateway.go: the sweep-splitting front door — per-owner point
-//     batches fanned out as explicit-point sub-jobs, merged SSE, and
-//     byte-identical document reassembly.
+//     joining in-flight computations), async best-effort replication
+//     of fresh results, and the gateway's ring-routed remote
+//     execution: a gateway is a plain service.Server whose cache
+//     misses run on their ring owner as one-point explicit sub-jobs,
+//     failing over along the successor chain.
 package cluster
 
 import (

@@ -37,18 +37,13 @@ import (
 //	    service.WithRetry(service.RetryPolicy{MaxAttempts: 8}),
 //	)
 type Client struct {
-	hc       *http.Client
-	priority int
-	retry    RetryPolicy
-	logfFn   func(format string, args ...any)
-	noRedir  bool
-
-	// Tenant, when non-empty, is sent as the X-Tenant header on every
-	// request, billing submitted jobs to that scheduling tenant.
-	//
-	// Deprecated: set it with WithTenant at Dial time. The field stays
-	// exported for one release as the v1 surface.
-	Tenant string
+	hc        *http.Client
+	priority  int
+	retry     RetryPolicy
+	logfFn    func(format string, args ...any)
+	noRedir   bool
+	tenant    string // X-Tenant header value (WithTenant)
+	submitted func(JobStatus)
 
 	mu   sync.Mutex
 	base string // current base URL; rebased when a 307 is followed
@@ -66,7 +61,16 @@ func WithBaseURL(base string) ClientOption {
 // WithTenant bills submitted jobs to the named scheduling tenant
 // (empty selects the server's DefaultTenant).
 func WithTenant(tenant string) ClientOption {
-	return func(c *Client) { c.Tenant = tenant }
+	return func(c *Client) { c.tenant = tenant }
+}
+
+// WithSubmitted calls fn with the queued status of every job the
+// client submits, including those RunSweep and RunSweepStream submit
+// internally. It is the handle a caller needs to cancel a job whose
+// stream it abandons: the client itself never cancels server-side
+// jobs, so an interrupted sweep can resume from cache.
+func WithSubmitted(fn func(JobStatus)) ClientOption {
+	return func(c *Client) { c.submitted = fn }
 }
 
 // WithPriority sets a default scheduling priority applied to submitted
@@ -153,19 +157,6 @@ func Dial(opts ...ClientOption) (*Client, error) {
 		return http.ErrUseLastResponse
 	}
 	return c, nil
-}
-
-// NewClient targets a daemon at base (e.g. "http://127.0.0.1:8344").
-//
-// Deprecated: use Dial(WithBaseURL(base), ...). NewClient remains as
-// the v1 constructor for one release and is equivalent to Dial with
-// the default options (it cannot fail: base is given).
-func NewClient(base string) *Client {
-	c, err := Dial(WithBaseURL(base))
-	if err != nil {
-		panic("service: NewClient: " + err.Error()) // unreachable: base is set
-	}
-	return c
 }
 
 func normalizeBase(base string) string {
@@ -284,8 +275,8 @@ func (c *Client) do(ctx context.Context, method, path string, hdr http.Header, i
 		if in != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		if c.Tenant != "" {
-			req.Header.Set(TenantHeader, c.Tenant)
+		if c.tenant != "" {
+			req.Header.Set(TenantHeader, c.tenant)
 		}
 		if c.noRedir {
 			req.Header.Set(NoRedirectHeader, "1")
@@ -349,6 +340,9 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	}
 	var st JobStatus
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", nil, spec, &st)
+	if err == nil && c.submitted != nil {
+		c.submitted(st)
+	}
 	return st, err
 }
 
@@ -550,8 +544,8 @@ func (c *Client) Stream(ctx context.Context, id string, from int, fn func(JobEve
 	if err != nil {
 		return JobEvent{}, err
 	}
-	if c.Tenant != "" {
-		req.Header.Set(TenantHeader, c.Tenant)
+	if c.tenant != "" {
+		req.Header.Set(TenantHeader, c.tenant)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

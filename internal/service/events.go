@@ -41,8 +41,8 @@ type JobEvent struct {
 	Source string `json:"source,omitempty"`
 	Digest string `json:"digest,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Node names the cluster node that resolved the point, on events
-	// merged by a gateway (empty on single-node streams).
+	// Node names the cluster node that resolved the point, when it
+	// resolved remotely (empty on single-node streams).
 	Node string `json:"node,omitempty"`
 	// Point carries the resolved point's data on streamed EventPoint
 	// events. It is attached at stream-serialization time, not stored
@@ -67,12 +67,12 @@ func (s *Server) appendEventLocked(j *Job, ev JobEvent) {
 	j.notify = make(chan struct{})
 }
 
-// Events returns the job's events from sequence number `from` onward
+// events returns the job's events from sequence number `from` onward
 // plus a channel that is closed when the log grows — the wait
 // primitive SSE handlers block on. The returned slice aliases the
 // append-only log, which is never mutated in place, so callers may
 // read it without the lock.
-func (s *Server) Events(id string, from int) (evs []JobEvent, more <-chan struct{}, ok bool) {
+func (s *Server) events(id string, from int) (evs []JobEvent, more <-chan struct{}, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, okj := s.jobs[id]
@@ -88,11 +88,11 @@ func (s *Server) Events(id string, from int) (evs []JobEvent, more <-chan struct
 	return j.events[from:], j.notify, true
 }
 
-// Partial returns a running (or terminal) job's points and the results
+// partial returns a running (or terminal) job's points and the results
 // resolved so far — nil slots for unresolved points — plus its status
 // snapshot. The results slice is copied: the scheduler keeps writing
 // the live one.
-func (s *Server) Partial(id string) ([]runner.Point, []*sim.Result, JobStatus, bool) {
+func (s *Server) partial(id string) ([]runner.Point, []*sim.Result, JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -104,11 +104,10 @@ func (s *Server) Partial(id string) ([]runner.Point, []*sim.Result, JobStatus, b
 	return j.points, results, j.status, true
 }
 
-// PointResult snapshots one resolved point of a job for stream
+// pointResult snapshots one resolved point of a job for stream
 // enrichment (ok is false for unknown jobs, out-of-range indices, or
-// points not yet resolved). Exported for the cluster gateway, which
-// enriches merged SSE streams served from an in-process node.
-func (s *Server) PointResult(id string, idx int) (PointResult, bool) {
+// points not yet resolved).
+func (s *Server) pointResult(id string, idx int) (PointResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -126,9 +125,9 @@ func (s *Server) PointResult(id string, idx int) (PointResult, bool) {
 
 // MakeResultDoc assembles the deterministic result document for a
 // point sequence: the single rendering path shared by the HTTP result
-// handler, the server-side digest, client-side verification, and the
-// cluster gateway's distributed reassembly, so "byte-identical" is
-// enforced by construction rather than by parallel implementations.
+// handler, the server-side digest, and client-side verification, so
+// "byte-identical" is enforced by construction rather than by parallel
+// implementations.
 func MakeResultDoc(pts []runner.Point, results []*sim.Result) ResultDoc {
 	doc := ResultDoc{SchemaVersion: obs.SchemaVersion, Points: make([]PointResult, len(pts))}
 	for i, pt := range pts {

@@ -18,7 +18,7 @@ const TenantHeader = "X-Tenant"
 const (
 	// NoRedirectHeader, when present on a submit, suppresses the 307
 	// ownership redirect: the receiving node runs the job itself even
-	// if the ring says another node owns every point. The gateway sets
+	// if the ring says another node owns every point. A gateway sets
 	// it on sub-jobs (they are already routed), and the v2 client sets
 	// it when redirect-following is disabled.
 	NoRedirectHeader = "X-GPUJoule-No-Redirect"
@@ -140,8 +140,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // redirectOwner decides whether a submit should be answered with a 307
 // to the owning node: a fabric is wired in, the client did not opt
 // out, the spec expands cleanly, and every point routes to the same
-// non-local owner. Mixed-owner sweeps run here (the gateway is the
-// component that splits those).
+// non-local owner. Mixed-owner sweeps run here (a gateway is the
+// component that spreads those across the ring).
 func (s *Server) redirectOwner(r *http.Request, spec JobSpec) (string, bool) {
 	cl := s.opts.Cluster
 	if cl == nil || cl.RouteOwner == nil || r.Header.Get(NoRedirectHeader) != "" {
@@ -183,7 +183,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// when asked explicitly. Without ?partial the pre-streaming
 		// contract holds: 409 until terminal.
 		if r.URL.Query().Get("partial") != "" {
-			pts, results, pst, okp := s.Partial(id)
+			pts, results, pst, okp := s.partial(id)
 			if !okp {
 				writeErr(w, http.StatusNotFound, "no such job %q", id)
 				return
@@ -312,7 +312,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			from = n + 1
 		}
 	}
-	if _, _, ok := s.Events(id, 0); !ok {
+	if _, _, ok := s.events(id, 0); !ok {
 		writeErr(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
@@ -326,13 +326,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	for {
-		evs, more, ok := s.Events(id, from)
+		evs, more, ok := s.events(id, from)
 		if !ok {
 			return // job pruned from retention mid-stream
 		}
 		for _, ev := range evs {
 			if ev.Kind == EventPoint {
-				if pr, okp := s.PointResult(id, ev.Index); okp {
+				if pr, okp := s.pointResult(id, ev.Index); okp {
 					ev.Point = &pr
 				}
 			}

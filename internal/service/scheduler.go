@@ -234,8 +234,7 @@ func (s *Server) runnableHeadLocked(j *Job) (ok, coalesce bool) {
 	if j.status.State.Terminal() || len(j.pending) == 0 || j.liveCtx().Err() != nil {
 		return false, false
 	}
-	key := s.cacheKey(j.points[j.pending[0]])
-	if _, inFlight := s.flights[key]; inFlight {
+	if _, inFlight := s.flights[j.keys[j.pending[0]]]; inFlight {
 		return true, true
 	}
 	t := j.tenant
@@ -289,8 +288,7 @@ func (s *Server) dispatchHeadLocked(j *Job) {
 	t := j.tenant
 	idx := j.pending[0]
 	j.pending = j.pending[1:]
-	pt := j.points[idx]
-	key := s.cacheKey(pt)
+	pt, key := j.points[idx], j.keys[idx]
 	s.markRunningLocked(j)
 	t.dispatched++
 
@@ -343,32 +341,38 @@ func (s *Server) markRunningLocked(j *Job) {
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for task := range s.execCh {
-		res, src, err := s.executePoint(task)
-		s.completeFlight(task, res, src, err)
+		res, src, node, err := s.executePoint(task)
+		s.completeFlight(task, res, src, node, err)
 	}
 }
 
 // executePoint resolves one owned point: the disk cache first, then
-// the cluster's peer caches (when a fabric is wired in), then one
-// single-point engine batch, publishing fresh results back to the
-// cache and replicating them toward the key's ring owner.
-func (s *Server) executePoint(task pointTask) (*sim.Result, string, error) {
+// the cluster (when a fabric is wired in), then one single-point
+// engine batch, publishing fresh results back to the cache and
+// replicating them toward the key's ring owner. node names the cluster
+// node that resolved the point ("" when it resolved here).
+func (s *Server) executePoint(task pointTask) (*sim.Result, string, string, error) {
 	if s.cache != nil {
 		if res, ok := s.cache.Get(task.key); ok {
-			return res, srcCache, nil
+			return res, srcCache, "", nil
 		}
 	}
 	s.mu.Lock()
 	ctx := task.j.liveCtx()
+	tenant, spec := task.j.status.Tenant, task.j.status.Spec
 	s.mu.Unlock()
-	if cl := s.opts.Cluster; cl != nil && cl.PeerGet != nil {
-		if res, ok := cl.PeerGet(ctx, task.pt.Key(), task.key); ok {
+	if cl := s.opts.Cluster; cl != nil && cl.Resolve != nil {
+		res, src, node, ok, err := cl.Resolve(ctx, tenant, spec, task.pt, task.key)
+		if err != nil {
+			return nil, "", "", err
+		}
+		if ok {
 			if s.cache != nil {
 				if perr := s.cache.Put(task.key, res); perr != nil {
-					s.logf("service: caching peer result %s: %v", task.pt, perr)
+					s.logf("service: caching %s result %s: %v", node, task.pt, perr)
 				}
 			}
-			return res, srcPeer, nil
+			return res, src, node, nil
 		}
 	}
 	s.mu.Lock()
@@ -383,7 +387,7 @@ func (s *Server) executePoint(task pointTask) (*sim.Result, string, error) {
 		err = fmt.Errorf("service: %s: no result", task.pt)
 	}
 	if err != nil {
-		return nil, srcSimulated, err
+		return nil, srcSimulated, "", err
 	}
 	if s.cache != nil {
 		if perr := s.cache.Put(task.key, res); perr != nil {
@@ -393,14 +397,14 @@ func (s *Server) executePoint(task pointTask) (*sim.Result, string, error) {
 	if cl := s.opts.Cluster; cl != nil && cl.Replicate != nil {
 		cl.Replicate(task.pt.Key(), task.key, res)
 	}
-	return res, srcSimulated, nil
+	return res, srcSimulated, "", nil
 }
 
 // completeFlight settles an owned point execution: the flight is
 // retired, the result (or error) is applied to the owner and every
 // coalesced waiter, and the executor slot and tenant quota are
 // released.
-func (s *Server) completeFlight(task pointTask, res *sim.Result, src string, err error) {
+func (s *Server) completeFlight(task pointTask, res *sim.Result, src, node string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fl := s.flights[task.key]
@@ -411,23 +415,24 @@ func (s *Server) completeFlight(task pointTask, res *sim.Result, src string, err
 	task.j.owned--
 	task.j.tenant.inflight--
 	s.execFree++
-	s.recordPointLocked(task.j, task.idx, res, src, err, true)
+	s.recordPointLocked(task.j, task.idx, res, src, node, err, true)
 	if fl != nil {
 		for _, w := range fl.waiters {
 			w.j.joined--
-			s.recordPointLocked(w.j, w.idx, res, srcCoalesced, err, false)
+			s.recordPointLocked(w.j, w.idx, res, srcCoalesced, node, err, false)
 		}
 	}
 	s.cond.Broadcast()
 }
 
-// recordPointLocked applies one point outcome to one job. For owners
-// any error is terminal for the job (the point ran under the job's
-// own context, so a cancellation is the job's own). For waiters a
-// foreign cancellation re-queues the point — the waiting job is still
-// live and must not inherit its neighbour's cancellation — while real
-// simulation errors propagate.
-func (s *Server) recordPointLocked(j *Job, idx int, res *sim.Result, src string, err error, owner bool) {
+// recordPointLocked applies one point outcome to one job; node (the
+// cluster node that resolved the point, "" for this one) rides on the
+// point event. For owners any error is terminal for the job (the point
+// ran under the job's own context, so a cancellation is the job's
+// own). For waiters a foreign cancellation re-queues the point — the
+// waiting job is still live and must not inherit its neighbour's
+// cancellation — while real simulation errors propagate.
+func (s *Server) recordPointLocked(j *Job, idx int, res *sim.Result, src, node string, err error, owner bool) {
 	if j.status.State.Terminal() {
 		return // late arrival after the job was cancelled or failed
 	}
@@ -444,7 +449,7 @@ func (s *Server) recordPointLocked(j *Job, idx int, res *sim.Result, src string,
 			j.status.PeerHits++
 			s.peerHits++
 		}
-		s.appendEventLocked(j, JobEvent{Kind: EventPoint, Index: idx, Source: src})
+		s.appendEventLocked(j, JobEvent{Kind: EventPoint, Index: idx, Source: src, Node: node})
 		if j.resolved == len(j.points) {
 			s.finalizeLocked(j, nil)
 		}

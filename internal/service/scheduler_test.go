@@ -256,7 +256,7 @@ func TestStreamedMatchesPolled(t *testing.T) {
 	s := newTestServer(t, Options{CacheDir: t.TempDir(), Executors: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
+	c, _ := Dial(WithBaseURL(ts.URL))
 	ctx := context.Background()
 
 	var evs []JobEvent
@@ -330,7 +330,7 @@ func TestPartialResults(t *testing.T) {
 	feed, _ := orderGate(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
+	c, _ := Dial(WithBaseURL(ts.URL))
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, tinySpec())
@@ -375,7 +375,7 @@ func TestErrCancelledSentinel(t *testing.T) {
 	defer release()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
+	c, _ := Dial(WithBaseURL(ts.URL))
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, tinySpec())
@@ -414,7 +414,7 @@ func TestQueueFullRetryAfterTyped(t *testing.T) {
 	defer release()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
+	c, _ := Dial(WithBaseURL(ts.URL))
 	ctx := context.Background()
 
 	st1, err := s.Submit(tinySpec())

@@ -113,8 +113,8 @@ type JobSpec struct {
 	FreqMHz float64 `json:"freq_mhz,omitempty"`
 	// Points, when non-empty, bypasses the grid syntax entirely: the
 	// job is exactly this point list, in order, with no baseline
-	// injection. This is the wire form a cluster gateway uses to hand
-	// a node its owned slice of a sweep — the sim.Config rides along
+	// injection. This is the wire form a cluster gateway uses to run
+	// one point of a sweep on its ring owner — the sim.Config rides along
 	// verbatim (its JSON field names are part of the stable result
 	// schema), so the point's simulation identity survives the hop
 	// bit-for-bit. Workloads/All/GPMs/BWs/Topologies/Baseline are
@@ -293,6 +293,7 @@ type Job struct {
 	done            chan struct{} // closed on terminal state
 
 	points   []runner.Point
+	keys     []string // per-point cache keys, computed once at admission
 	results  []*sim.Result
 	pending  []int   // point indices awaiting dispatch, FIFO
 	attempts []uint8 // per-point re-dispatch counts
@@ -375,12 +376,16 @@ type Options struct {
 // may be worth replicating, and that some submissions belong
 // elsewhere. internal/cluster provides the implementations.
 type ClusterHooks struct {
-	// PeerGet consults peer caches for a point missing locally,
-	// keyed by the point's canonical sim key (ring routing) and full
-	// cache key (entry identity). It returns (result, true) on a
-	// verified remote hit. Called with the point's live context; the
-	// implementation bounds its own per-peer timeouts.
-	PeerGet func(ctx context.Context, simKey, cacheKey string) (*sim.Result, bool)
+	// Resolve answers a point the local disk cache missed from
+	// elsewhere in the cluster: a ring node consults its peers' caches,
+	// a gateway runs the point on the key's ring owner. It is called
+	// with the point's live context, the owning job's tenant and spec
+	// (priority and deadline ride along), the point, and its full cache
+	// key. ok reports a verified remote result, with source naming how
+	// it resolved ("cache", "simulated", "coalesced" or "peer") and
+	// node the base URL that served it; with ok false the point runs on
+	// the local engine. err is non-nil only when ctx died.
+	Resolve func(ctx context.Context, tenant string, spec JobSpec, pt runner.Point, cacheKey string) (res *sim.Result, source, node string, ok bool, err error)
 	// Replicate pushes a freshly computed result toward the key's
 	// ring owner and successor, best-effort and asynchronous.
 	Replicate func(simKey, cacheKey string, res *sim.Result)
@@ -528,8 +533,8 @@ func New(opts Options) (*Server, error) {
 func (s *Server) Engine() *runner.Engine { return s.eng }
 
 // AddMetrics registers an extra emitter on the node's /metrics scrape
-// — the seam the cluster fabric and gateway use to publish their
-// families alongside the service plane's.
+// — the seam the cluster fabric uses to publish its families alongside
+// the service plane's.
 func (s *Server) AddMetrics(emit func(io.Writer)) { s.prof.AddMetrics(emit) }
 
 // Cache exposes the result cache (nil when persistence is disabled).
@@ -593,8 +598,10 @@ func (s *Server) SubmitTenant(tenant string, spec JobSpec) (JobStatus, error) {
 		tenant = DefaultTenant
 	}
 	pending := make([]int, len(pts))
-	for i := range pending {
+	keys := make([]string, len(pts))
+	for i, pt := range pts {
 		pending[i] = i
+		keys[i] = s.cacheKey(pt)
 	}
 	j := &Job{
 		status: JobStatus{
@@ -606,6 +613,7 @@ func (s *Server) SubmitTenant(tenant string, spec JobSpec) (JobStatus, error) {
 			Spec:    spec,
 		},
 		points:   pts,
+		keys:     keys,
 		results:  make([]*sim.Result, len(pts)),
 		pending:  pending,
 		attempts: make([]uint8, len(pts)),
@@ -834,9 +842,10 @@ func (s *Server) finalizeLocked(j *Job, err error) {
 // the sweep row layout over the spec's workloads and design grid
 // (shared with cmd/sweep through runner.GridPoints, so service and
 // local execution resolve identical point sequences); explicit
-// Points specs expand to exactly the listed points, in order. The
-// cluster gateway calls this on the same spec a node would, which is
-// why a split sweep reassembles the byte-identical document.
+// Points specs expand to exactly the listed points, in order. A
+// cluster gateway admits through the same SubmitTenant as a node, which
+// is why a sweep resolved across the ring renders the byte-identical
+// document.
 func ExpandPoints(spec JobSpec) ([]runner.Point, error) {
 	if len(spec.Points) > 0 {
 		return expandExplicit(spec)
@@ -899,8 +908,8 @@ func expandExplicit(spec JobSpec) ([]runner.Point, error) {
 
 // SpecFor inverts ExpandPoints for a point subset: the explicit-point
 // JobSpec that resolves exactly pts, carrying priority and deadline
-// from the parent spec. The gateway uses it to hand each node its
-// owned batch.
+// from the parent spec. A gateway uses it to run one point on the
+// point's ring owner.
 func SpecFor(parent JobSpec, pts []runner.Point) JobSpec {
 	sub := JobSpec{
 		Priority:       parent.Priority,

@@ -477,7 +477,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	resultBytes := func(s *Server) ([]byte, JobStatus) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		c := NewClient(ts.URL)
+		c, _ := Dial(WithBaseURL(ts.URL))
 		st, err := c.Submit(context.Background(), tinySpec())
 		if err != nil {
 			t.Fatal(err)
@@ -522,7 +522,7 @@ func TestHTTPSurface(t *testing.T) {
 	s := newTestServer(t, Options{CacheDir: t.TempDir(), Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
+	c, _ := Dial(WithBaseURL(ts.URL))
 	ctx := context.Background()
 
 	if _, err := c.Submit(ctx, JobSpec{Workloads: "NoSuchWorkload"}); err == nil {

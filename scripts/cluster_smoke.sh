@@ -6,8 +6,8 @@
 #   2. sweep a grid through the gateway and assert the CSV is
 #      byte-identical to a local (in-process) run of the same grid;
 #   3. kill one node hard (-9) mid-stream-sweep and assert the sweep
-#      still completes with the byte-identical CSV — the ring reroutes
-#      and the gateway degrades to local compute;
+#      still completes with the byte-identical CSV — the gateway fails
+#      the dead node's points over to their ring successors;
 #   4. drive the surviving cluster with loadgen: concurrent overlapping
 #      sweeps must finish with zero dropped/duplicated points and a
 #      cluster-wide cache hit rate above the floor, written to
@@ -43,7 +43,7 @@ P1=$(start_node "$N1" "$WORK/cache1" "$WORK/node1.log")
 P2=$(start_node "$N2" "$WORK/cache2" "$WORK/node2.log")
 P3=$(start_node "$N3" "$WORK/cache3" "$WORK/node3.log")
 "$WORK/gpujouled" -addr "$GATE" -gateway -peers "$PEERS" \
-    -cache "$WORK/cache-gw" -queue 4096 -executors 8 -gateway-queue 4096 \
+    -cache "$WORK/cache-gw" -queue 4096 -executors 8 \
     >"$WORK/gateway.log" 2>&1 &
 PGW=$!
 trap 'kill "$P1" "$P2" "$P3" "$PGW" 2>/dev/null || true' EXIT
@@ -104,7 +104,8 @@ curl -sf "http://$N1/metrics" >"$WORK/node1_metrics.txt"
 curl -sf "http://$GATE/metrics" >"$WORK/gateway_metrics.txt"
 grep -q "gpujoule_cluster_peer_hits" "$WORK/node1_metrics.txt"
 grep -q "gpujoule_cluster_replica_pending" "$WORK/node1_metrics.txt"
-grep -q "gpujoule_gateway_fanout_latency_p99_seconds" "$WORK/gateway_metrics.txt"
+grep -q "gpujoule_sched_queued_points" "$WORK/gateway_metrics.txt"
+grep -q "gpujoule_gateway_failovers" "$WORK/gateway_metrics.txt"
 grep -q "gpujoule_cluster_peers_unhealthy" "$WORK/gateway_metrics.txt"
 echo "cluster metrics captured"
 
