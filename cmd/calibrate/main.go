@@ -10,6 +10,7 @@
 // voltage/frequency effects the top-down V² rule alone cannot see.
 // With -curve, every curve point is calibrated in ascending frequency
 // order and a per-point summary table is printed.
+// Each mode simulates its benchmarks as one parallel run-engine batch.
 //
 // Usage:
 //
@@ -17,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +26,7 @@ import (
 	"gpujoule/internal/calib"
 	"gpujoule/internal/dvfs"
 	"gpujoule/internal/harness"
+	"gpujoule/internal/runner"
 	"gpujoule/internal/silicon"
 )
 
@@ -53,7 +56,7 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("calibrated against reference silicon in %d iteration(s)\n", v.Calibration.Iterations)
+	fmt.Println("calibrated against reference silicon")
 	fmt.Printf("idle (constant) power: %.1f W, EPStall: %.3f nJ\n\n",
 		v.Calibration.IdleWatts, v.Calibration.Model.EPStall*1e9)
 
@@ -80,12 +83,11 @@ func calibrateAt(freqMHz float64) error {
 	if err != nil {
 		return err
 	}
-	dev := silicon.NewK40()
-	res, err := calib.CalibrateAt(dev, p, calib.Options{})
+	res, err := calib.CalibrateAt(context.Background(), runner.New(runner.Options{}), silicon.NewK40(), p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("calibrated at %s in %d iteration(s)\n", p, res.Iterations)
+	fmt.Printf("calibrated at %s\n", p)
 	fmt.Printf("idle (constant) power: %.1f W, EPStall: %.3f nJ\n",
 		res.IdleWatts, res.Model.EPStall*1e9)
 	fmt.Printf("mixed-benchmark MAE: %.1f%%\n", res.MixedMAEPct())
@@ -96,16 +98,15 @@ func calibrateAt(freqMHz float64) error {
 // per-point idle power and stall energy — the measured shape the
 // analytical V² rule is validated against.
 func calibrateCurve() error {
-	dev := silicon.NewK40()
-	results, err := calib.CalibrateCurve(dev, calib.Options{})
+	results, err := calib.CalibrateCurve(context.Background(), runner.New(runner.Options{}), silicon.NewK40())
 	if err != nil {
 		return err
 	}
-	fmt.Println("point          idle W   EPStall nJ   mixed MAE   iters")
+	fmt.Println("point          idle W   EPStall nJ   mixed MAE")
 	for _, cr := range results {
-		fmt.Printf("%-14s %6.1f %12.3f %10.1f%% %7d\n",
+		fmt.Printf("%-14s %6.1f %12.3f %10.1f%%\n",
 			cr.Point.String(), cr.Result.IdleWatts, cr.Result.Model.EPStall*1e9,
-			cr.Result.MixedMAEPct(), cr.Result.Iterations)
+			cr.Result.MixedMAEPct())
 	}
 	return nil
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 	"gpujoule/internal/core"
 	"gpujoule/internal/isa"
 	"gpujoule/internal/microbench"
+	"gpujoule/internal/runner"
 	"gpujoule/internal/silicon"
 )
 
@@ -36,14 +38,14 @@ func main() {
 		m.KernelPowerWatts, m.KernelSeconds*1e3, n)
 	fmt.Printf("Eq. 5 => EPI = %.4f nJ (Table Ib: 0.05 nJ)\n\n", epi*1e9)
 
-	// Steps 1-3, automated: the full calibration workflow with its
-	// validation loop.
-	res, err := calib.Calibrate(dev, calib.Options{})
+	// Steps 1-3, automated: the whole microbenchmark suite runs as one
+	// batch on a run engine, then the model is derived and validated on
+	// the mixed benchmarks.
+	res, err := calib.Calibrate(context.Background(), runner.New(runner.Options{}), dev)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full calibration converged in %d iteration(s); mixed-bench MAE %.2f%%\n\n",
-		res.Iterations, res.MixedMAEPct())
+	fmt.Printf("full calibration: mixed-bench MAE %.2f%%\n\n", res.MixedMAEPct())
 
 	paper := core.K40Model()
 	fmt.Println("recovered data-movement energies (nJ, vs published Table Ib):")

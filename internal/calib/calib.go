@@ -6,10 +6,13 @@
 //     combining the data-movement measurements by solving the small
 //     linear system their transaction mixes form;
 //  2. assemble the initial energy model;
-//  3. validate against mixed-instruction microbenchmarks (Fig. 4a),
-//     iterating with longer-running benchmarks if accuracy is not
-//     reached;
+//  3. validate against mixed-instruction microbenchmarks (Fig. 4a);
 //  4. validate against real applications (Fig. 4b).
+//
+// The step-3 accuracy gate (mixed MAE at most 10%) is a test at every
+// V/f-curve point, not a loop: the suite is deterministic. No run
+// depends on another's outcome, so a calibration simulates all of them
+// as one batch on a shared runner.Engine and derives the model after.
 //
 // Calibration observes only what the paper's methodology could: event
 // counts (profilers) and power-sensor readings. The hidden bottom-up
@@ -17,6 +20,7 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -24,6 +28,7 @@ import (
 	"gpujoule/internal/dvfs"
 	"gpujoule/internal/isa"
 	"gpujoule/internal/microbench"
+	"gpujoule/internal/runner"
 	"gpujoule/internal/silicon"
 	"gpujoule/internal/stats"
 	"gpujoule/internal/trace"
@@ -44,7 +49,7 @@ func (e NamedError) ErrPct() float64 {
 	return stats.RelErrPct(e.ModeledJoules, e.MeasuredJoules)
 }
 
-// Result is the outcome of a full calibration run.
+// Result is the outcome of a calibration run.
 type Result struct {
 	// Model is the calibrated GPUJoule instance.
 	Model *core.Model
@@ -52,76 +57,48 @@ type Result struct {
 	IdleWatts float64
 	// MixedErrors are the Fig. 4a validation points.
 	MixedErrors []NamedError
-	// Iterations is the number of validation refinement passes used.
-	Iterations int
+	// AppErrors are the Fig. 4b validation points, one per application
+	// given to Validate (empty after Calibrate).
+	AppErrors []NamedError
+	// AppRuns are the measurements behind AppErrors, in the same order.
+	AppRuns []*silicon.Measurement
 }
 
 // MixedMAEPct returns the mean absolute error over the mixed suite.
 func (r *Result) MixedMAEPct() float64 {
-	errs := make([]float64, len(r.MixedErrors))
-	for i, e := range r.MixedErrors {
-		errs[i] = e.ErrPct()
-	}
-	return stats.MeanAbs(errs)
+	return MAEPct(r.MixedErrors)
 }
 
-// Options tunes the calibration workflow.
-type Options struct {
-	// TargetMixedMAEPct is the Fig. 3 accuracy gate for the mixed
-	// validation step; calibration re-runs with longer benchmarks
-	// until it is met or MaxIterations is reached. Zero means 10%.
-	TargetMixedMAEPct float64
-	// MaxIterations bounds the refinement loop. Zero means 3.
-	MaxIterations int
+// Calibrate runs steps 1-3 of Fig. 3 on the device, simulating the
+// whole microbenchmark suite as one batch on eng.
+func Calibrate(ctx context.Context, eng *runner.Engine, dev *silicon.Device) (*Result, error) {
+	return Validate(ctx, eng, dev, nil, 0)
 }
 
-func (o Options) target() float64 {
-	if o.TargetMixedMAEPct <= 0 {
-		return 10
+// Validate runs the full Fig. 3 workflow on the device: Calibrate plus
+// step 4 over apps, which were built at the given workload scale. The
+// applications share the microbenchmarks' batch on eng.
+func Validate(ctx context.Context, eng *runner.Engine, dev *silicon.Device, apps []*trace.App, scale float64) (*Result, error) {
+	rs, err := run(ctx, eng, plan{dev: dev, apps: apps, scale: scale})
+	if err != nil {
+		return nil, err
 	}
-	return o.TargetMixedMAEPct
-}
-
-func (o Options) maxIter() int {
-	if o.MaxIterations <= 0 {
-		return 3
-	}
-	return o.MaxIterations
-}
-
-// Calibrate runs the full Fig. 3 workflow on the device.
-func Calibrate(dev *silicon.Device, opts Options) (*Result, error) {
-	var last *Result
-	for iter := 1; iter <= opts.maxIter(); iter++ {
-		model, idle, err := calibrateOnce(dev)
-		if err != nil {
-			return nil, err
-		}
-		mixed, err := validateSuite(dev, model, microbench.MixedSuite())
-		if err != nil {
-			return nil, err
-		}
-		last = &Result{Model: model, IdleWatts: idle, MixedErrors: mixed, Iterations: iter}
-		if last.MixedMAEPct() <= opts.target() {
-			return last, nil
-		}
-	}
-	return last, nil
+	return rs[0], nil
 }
 
 // CalibrateAt reclocks the device to an operating point on its V/f
-// curve and runs the full Fig. 3 workflow there. The whole
-// microbenchmark suite re-executes on the reclocked silicon, so the
-// calibrated EPI/EPT/ConstPower values absorb the frequency-dependent
-// effects (leakage, clock tree, short-circuit slope) that the top-down
-// V² scaling rule cannot predict. The nominal point is identical to
+// curve and runs Calibrate there. The whole microbenchmark suite
+// re-executes on the reclocked silicon, so the calibrated
+// EPI/EPT/ConstPower values absorb the frequency-dependent effects
+// (leakage, clock tree, short-circuit slope) that the top-down V²
+// scaling rule cannot predict. The nominal point is identical to
 // Calibrate.
-func CalibrateAt(dev *silicon.Device, p dvfs.OperatingPoint, opts Options) (*Result, error) {
+func CalibrateAt(ctx context.Context, eng *runner.Engine, dev *silicon.Device, p dvfs.OperatingPoint) (*Result, error) {
 	rd, err := dev.AtOperatingPoint(p)
 	if err != nil {
 		return nil, err
 	}
-	return Calibrate(rd, opts)
+	return Calibrate(ctx, eng, rd)
 }
 
 // CurveResult is one operating point's calibration outcome.
@@ -132,95 +109,141 @@ type CurveResult struct {
 
 // CalibrateCurve calibrates the device at every point of its V/f curve,
 // ascending in frequency — the per-operating-point model family the
-// DVFS studies consume.
-func CalibrateCurve(dev *silicon.Device, opts Options) ([]CurveResult, error) {
+// DVFS studies consume. Every point's suite runs in one batch on eng.
+func CalibrateCurve(ctx context.Context, eng *runner.Engine, dev *silicon.Device) ([]CurveResult, error) {
 	curve := dev.Curve()
 	if curve == nil {
 		return nil, fmt.Errorf("calib: device has no V/f curve: %w", dvfs.ErrOffCurve)
 	}
-	out := make([]CurveResult, 0, len(curve.Points()))
-	for _, p := range curve.Points() {
-		r, err := CalibrateAt(dev, p, opts)
+	pts := curve.Points()
+	plans := make([]plan, len(pts))
+	for i, p := range pts {
+		rd, err := dev.AtOperatingPoint(p)
 		if err != nil {
 			return nil, fmt.Errorf("calib: at %v: %w", p, err)
 		}
-		out = append(out, CurveResult{Point: p, Result: r})
+		plans[i] = plan{dev: rd}
+	}
+	rs, err := run(ctx, eng, plans...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]CurveResult, len(pts))
+	for i, p := range pts {
+		out[i] = CurveResult{Point: p, Result: rs[i]}
 	}
 	return out, nil
 }
 
-// calibrateOnce performs steps 1-2 of Fig. 3.
-func calibrateOnce(dev *silicon.Device) (*core.Model, float64, error) {
-	idle := dev.IdlePowerReading()
+// benches is the Fig. 3 microbenchmark suite in derivation order:
+// compute, stall, memory, mixed. Each step reads only energies the
+// steps before it derived.
+func benches() []microbench.Bench {
+	bs := append(microbench.ComputeSuite(), microbench.StallBench())
+	bs = append(bs, microbench.MemorySuite()...)
+	return append(bs, microbench.MixedSuite()...)
+}
 
+// plan is one device's share of a calibration batch: the
+// microbenchmark suite plus any step-4 applications.
+type plan struct {
+	dev   *silicon.Device
+	apps  []*trace.App
+	scale float64
+}
+
+// run simulates every plan's runs as one engine batch — on the plan's
+// device config, the fixed-size microbenchmarks at scale 1 and the
+// applications at theirs — then derives each plan's Result from its
+// device's measurements.
+func run(ctx context.Context, eng *runner.Engine, plans ...plan) ([]*Result, error) {
+	bs := benches()
+	var pts []runner.Point
+	for _, p := range plans {
+		cfg := p.dev.Config()
+		for _, b := range bs {
+			pts = append(pts, runner.Point{App: b.App, Scale: 1, Config: cfg})
+		}
+		for _, app := range p.apps {
+			pts = append(pts, runner.Point{App: app, Scale: p.scale, Config: cfg})
+		}
+	}
+	res, err := eng.Run(ctx, pts)
+	if err != nil {
+		return nil, fmt.Errorf("calib: %w", err)
+	}
+	out := make([]*Result, len(plans))
+	for i, p := range plans {
+		ms := make([]*silicon.Measurement, len(bs)+len(p.apps))
+		for j := range ms {
+			ms[j] = p.dev.Measure(res[j])
+		}
+		res = res[len(ms):]
+		if out[i], err = p.derive(bs, ms); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// derive performs Fig. 3 on the plan's measurements: one per bench of
+// bs, then one per application.
+func (p plan) derive(bs []microbench.Bench, ms []*silicon.Measurement) (*Result, error) {
+	idle := p.dev.IdlePowerReading()
 	model := &core.Model{
 		Name:       "GPUJoule-calibrated",
 		ConstPower: idle,
-		ClockHz:    dev.ClockHz(),
+		ClockHz:    p.dev.ClockHz(),
 	}
 
-	// Step 1a: compute EPIs via Eq. 5. The pure-ALU benchmarks stall
-	// negligibly at full occupancy, so the raw power delta is the
-	// instruction energy.
-	for _, b := range microbench.ComputeSuite() {
-		m, err := dev.Run(b.App)
-		if err != nil {
-			return nil, 0, fmt.Errorf("calib: compute bench %s: %w", b.Name, err)
-		}
-		n := m.Result.Counts.Inst[b.Op]
-		if n == 0 {
-			return nil, 0, fmt.Errorf("calib: compute bench %s executed no %v", b.Name, b.Op)
-		}
-		active := m.KernelPowerWatts - idle
-		model.EPI[b.Op] = active * m.KernelSeconds / float64(n)
-		if model.EPI[b.Op] < 0 {
-			model.EPI[b.Op] = 0
-		}
-	}
-
-	// Step 1b: lane-stall energy from the low-occupancy probe, after
-	// subtracting the now-known instruction energies.
-	stallBench := microbench.StallBench()
-	m, err := dev.Run(stallBench.App)
-	if err != nil {
-		return nil, 0, fmt.Errorf("calib: stall bench: %w", err)
-	}
-	c := &m.Result.Counts
-	residual := (m.KernelPowerWatts-idle)*m.KernelSeconds - instructionJoules(model, c)
-	if c.StallCycles > 0 && residual > 0 {
-		model.EPStall = residual / float64(c.StallCycles)
-	}
-
-	// Step 1c: data-movement energies. Each memory benchmark yields
+	// Step 1c's data-movement energies: each memory benchmark yields
 	// one equation Σ_k txns_bk · EPT_k = E_b(residual); the suite is
 	// designed so the system is well-conditioned (shared memory and
 	// DRAM nearly pure, L1/L2 carrying a known DRAM background
-	// stream). Solve the 4x4 system.
+	// stream).
 	levels := []isa.TxnKind{isa.TxnShmToRF, isa.TxnL1ToRF, isa.TxnL2ToL1, isa.TxnDRAMToL2}
-	suite := microbench.MemorySuite()
-	if len(suite) != len(levels) {
-		return nil, 0, fmt.Errorf("calib: memory suite has %d benches for %d levels", len(suite), len(levels))
-	}
-	a := make([][]float64, len(suite))
-	rhs := make([]float64, len(suite))
-	for i, b := range suite {
-		m, err := dev.Run(b.App)
-		if err != nil {
-			return nil, 0, fmt.Errorf("calib: memory bench %s: %w", b.Name, err)
-		}
+	var a [][]float64
+	var rhs []float64
+	for i, b := range bs {
+		m := ms[i]
 		c := &m.Result.Counts
-		row := make([]float64, len(levels))
-		for j, k := range levels {
-			row[j] = float64(c.Txn[k])
+		switch b.Kind {
+		case microbench.KindCompute:
+			// Step 1a: EPI via Eq. 5. The pure-ALU benchmarks stall
+			// negligibly at full occupancy, so the raw power delta is
+			// the instruction energy.
+			n := c.Inst[b.Op]
+			if n == 0 {
+				return nil, fmt.Errorf("calib: compute bench %s executed no %v", b.Name, b.Op)
+			}
+			model.EPI[b.Op] = (m.KernelPowerWatts - idle) * m.KernelSeconds / float64(n)
+			if model.EPI[b.Op] < 0 {
+				model.EPI[b.Op] = 0
+			}
+		case microbench.KindStall:
+			// Step 1b: lane-stall energy from the low-occupancy probe,
+			// after subtracting the now-known instruction energies.
+			residual := (m.KernelPowerWatts-idle)*m.KernelSeconds - instructionJoules(model, c)
+			if c.StallCycles > 0 && residual > 0 {
+				model.EPStall = residual / float64(c.StallCycles)
+			}
+		case microbench.KindMemory:
+			row := make([]float64, len(levels))
+			for j, k := range levels {
+				row[j] = float64(c.Txn[k])
+			}
+			a = append(a, row)
+			rhs = append(rhs, (m.KernelPowerWatts-idle)*m.KernelSeconds-
+				instructionJoules(model, c)-
+				model.EPStall*float64(c.StallCycles))
 		}
-		a[i] = row
-		rhs[i] = (m.KernelPowerWatts-idle)*m.KernelSeconds -
-			instructionJoules(model, c) -
-			model.EPStall*float64(c.StallCycles)
+	}
+	if len(a) != len(levels) {
+		return nil, fmt.Errorf("calib: memory suite has %d benches for %d levels", len(a), len(levels))
 	}
 	ept, err := solveLinear(a, rhs)
 	if err != nil {
-		return nil, 0, fmt.Errorf("calib: solving transaction energies: %w", err)
+		return nil, fmt.Errorf("calib: solving transaction energies: %w", err)
 	}
 	for j, k := range levels {
 		if ept[j] < 0 {
@@ -228,11 +251,31 @@ func calibrateOnce(dev *silicon.Device) (*core.Model, float64, error) {
 		}
 		model.EPT[k] = ept[j]
 	}
-
 	if err := model.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return model, idle, nil
+
+	// Steps 3 and 4: the mixed suite and the applications.
+	r := &Result{Model: model, IdleWatts: idle, AppRuns: ms[len(bs):]}
+	for i, b := range bs {
+		if b.Kind == microbench.KindMixed {
+			r.MixedErrors = append(r.MixedErrors, namedError(b.Name, model, ms[i]))
+		}
+	}
+	for i, app := range p.apps {
+		r.AppErrors = append(r.AppErrors, namedError(app.Name, model, r.AppRuns[i]))
+	}
+	return r, nil
+}
+
+// namedError compares the model's estimate for a run with its sensor
+// measurement.
+func namedError(name string, model *core.Model, m *silicon.Measurement) NamedError {
+	return NamedError{
+		Name:           name,
+		ModeledJoules:  model.EstimateEnergy(&m.Result.Counts),
+		MeasuredJoules: m.SensorJoules,
+	}
 }
 
 // instructionJoules sums the known compute-instruction energy of a run.
@@ -242,42 +285,6 @@ func instructionJoules(m *core.Model, c *isa.Counts) float64 {
 		e += m.EPI[op] * float64(c.Inst[op])
 	}
 	return e
-}
-
-// validateSuite runs each benchmark, estimating energy from its event
-// counts with the model and comparing with the sensor measurement.
-func validateSuite(dev *silicon.Device, model *core.Model, suite []microbench.Bench) ([]NamedError, error) {
-	out := make([]NamedError, 0, len(suite))
-	for _, b := range suite {
-		m, err := dev.Run(b.App)
-		if err != nil {
-			return nil, fmt.Errorf("calib: validating %s: %w", b.Name, err)
-		}
-		out = append(out, NamedError{
-			Name:           b.Name,
-			ModeledJoules:  model.EstimateEnergy(&m.Result.Counts),
-			MeasuredJoules: m.SensorJoules,
-		})
-	}
-	return out, nil
-}
-
-// ValidateApps performs step 4 of Fig. 3: end-to-end energy estimation
-// error over real applications.
-func ValidateApps(dev *silicon.Device, model *core.Model, apps []*trace.App) ([]NamedError, error) {
-	out := make([]NamedError, 0, len(apps))
-	for _, app := range apps {
-		m, err := dev.Run(app)
-		if err != nil {
-			return nil, fmt.Errorf("calib: validating app %s: %w", app.Name, err)
-		}
-		out = append(out, NamedError{
-			Name:           app.Name,
-			ModeledJoules:  model.EstimateEnergy(&m.Result.Counts),
-			MeasuredJoules: m.SensorJoules,
-		})
-	}
-	return out, nil
 }
 
 // MAEPct returns the mean absolute error in percent over points.

@@ -1,14 +1,17 @@
 package calib
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"gpujoule/internal/dvfs"
 	"gpujoule/internal/isa"
+	"gpujoule/internal/runner"
 	"gpujoule/internal/silicon"
 	"gpujoule/internal/workloads"
 )
@@ -91,14 +94,27 @@ func TestNamedErrorPct(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.target() != 10 || o.maxIter() != 3 {
-		t.Error("zero options must default to 10% / 3 iterations")
+// newEngine returns a fresh run engine for one test's silicon runs.
+func newEngine() *runner.Engine { return runner.New(runner.Options{}) }
+
+// TestCalibrateCurveMeetsMixedTarget is the Fig. 3 step-3 accuracy gate:
+// at every point of the K40 V/f curve the calibrated model's mixed-suite
+// error stays within 10%.
+func TestCalibrateCurveMeetsMixedTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates all seven curve points; skipped with -short")
 	}
-	o = Options{TargetMixedMAEPct: 5, MaxIterations: 7}
-	if o.target() != 5 || o.maxIter() != 7 {
-		t.Error("explicit options ignored")
+	results, err := CalibrateCurve(context.Background(), newEngine(), silicon.NewK40())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(dvfs.K40Curve().Points()) {
+		t.Fatalf("%d curve results, want one per curve point", len(results))
+	}
+	for _, cr := range results {
+		if mae := cr.Result.MixedMAEPct(); mae > 10 {
+			t.Errorf("%v: mixed MAE %.2f%%, want <= 10%%", cr.Point, mae)
+		}
 	}
 }
 
@@ -106,8 +122,7 @@ func TestOptionsDefaults(t *testing.T) {
 // workflow, given only sensor readings and event counts, recovers the
 // published Table Ib energies from the reference silicon.
 func TestCalibrationRecoversTableIb(t *testing.T) {
-	dev := silicon.NewK40()
-	res, err := Calibrate(dev, Options{})
+	res, err := Calibrate(context.Background(), newEngine(), silicon.NewK40())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +160,7 @@ func TestCalibrationRecoversTableIb(t *testing.T) {
 // stays in the paper's published band (within +2.5%/-6%, allowing a
 // slightly wider floor for our substitute silicon).
 func TestFig4aErrorsWithinPaperRange(t *testing.T) {
-	dev := silicon.NewK40()
-	res, err := Calibrate(dev, Options{})
+	res, err := Calibrate(context.Background(), newEngine(), silicon.NewK40())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +181,14 @@ func TestFig4aErrorsWithinPaperRange(t *testing.T) {
 // of Fig. 4b at reduced scale: a reasonable MAE and the paper's four
 // outlier applications standing out for the paper's reasons.
 func TestFig4bStructure(t *testing.T) {
-	dev := silicon.NewK40()
-	res, err := Calibrate(dev, Options{})
+	apps := workloads.All(workloads.Params{Scale: 0.25})
+	res, err := Validate(context.Background(), newEngine(), silicon.NewK40(), apps, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	apps := workloads.All(workloads.Params{Scale: 0.25})
-	errs, err := ValidateApps(dev, res.Model, apps)
-	if err != nil {
-		t.Fatal(err)
+	errs := res.AppErrors
+	if len(res.AppRuns) != len(errs) {
+		t.Fatalf("%d app measurements for %d errors", len(res.AppRuns), len(errs))
 	}
 	if len(errs) != 18 {
 		t.Fatalf("Fig. 4b covers 18 applications, got %d", len(errs))
@@ -212,14 +225,27 @@ func TestFig4bStructure(t *testing.T) {
 // on silicon reclocked to 800 MHz / 0.90 V. The recalibrated model must
 // meet the same accuracy gate as at nominal and absorb the reclocked
 // physics: cheaper per-instruction dynamic energy and lower constant
-// power than the nominal calibration.
+// power than the nominal calibration. Both calibrations share one
+// engine: each submits every microbenchmark once, at scale 1, on its
+// own device config, so the reclocked points never alias the nominal
+// ones.
 func TestCalibrateAtRecoversReclockedSilicon(t *testing.T) {
 	dev := silicon.NewK40()
-	nom, err := Calibrate(dev, Options{})
+	keys := map[string]bool{}
+	var bad []string
+	eng := runner.New(runner.Options{OnEvent: func(ev runner.Event) {
+		if ev.Kind == runner.PointDone && !ev.CacheHit {
+			keys[ev.Point.Key()] = true
+		}
+		if ev.Point.Scale != 1 || !strings.HasPrefix(ev.Point.App.Name, "ubench-") {
+			bad = append(bad, ev.Point.Key())
+		}
+	}})
+	nom, err := Calibrate(context.Background(), eng, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := CalibrateAt(dev, dvfs.OperatingPoint{FreqHz: 800e6, Voltage: 0.90}, Options{})
+	low, err := CalibrateAt(context.Background(), eng, dev, dvfs.OperatingPoint{FreqHz: 800e6, Voltage: 0.90})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +262,27 @@ func TestCalibrateAtRecoversReclockedSilicon(t *testing.T) {
 	if low.IdleWatts >= nom.IdleWatts {
 		t.Errorf("idle %g W at 800 MHz, want below nominal %g W", low.IdleWatts, nom.IdleWatts)
 	}
+	if len(bad) > 0 {
+		t.Errorf("points off scale 1 or not named ubench-*: %v", bad)
+	}
+	if len(keys) != 2*29 || eng.Stats().Simulated != 2*29 {
+		t.Errorf("%d distinct keys, %d simulated; want 29 per operating point", len(keys), eng.Stats().Simulated)
+	}
+	rd, err := dev.AtOperatingPoint(dvfs.OperatingPoint{FreqHz: 800e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onLow := 0
+	for k := range keys {
+		if strings.HasSuffix(k, "|"+rd.Config().SimKey()) {
+			onLow++
+		}
+	}
+	if onLow != 29 {
+		t.Errorf("%d points on the 800 MHz config, want 29", onLow)
+	}
 	// Off-curve requests surface the typed sentinel.
-	if _, err := CalibrateAt(dev, dvfs.OperatingPoint{FreqHz: 850e6}, Options{}); !errors.Is(err, dvfs.ErrOffCurve) {
+	if _, err := CalibrateAt(context.Background(), eng, dev, dvfs.OperatingPoint{FreqHz: 850e6}); !errors.Is(err, dvfs.ErrOffCurve) {
 		t.Errorf("850 MHz error = %v, want ErrOffCurve", err)
 	}
 }

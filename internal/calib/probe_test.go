@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -16,12 +17,12 @@ func TestProbeCalibration(t *testing.T) {
 	if os.Getenv("GPUJOULE_PROBE") == "" {
 		t.Skip("exploratory probe; set GPUJOULE_PROBE=1 to run")
 	}
-	dev := silicon.NewK40()
-	res, err := Calibrate(dev, Options{})
+	apps := workloads.All(workloads.Params{Scale: 1.0})
+	res, err := Validate(context.Background(), newEngine(), silicon.NewK40(), apps, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("idle=%gW EPStall=%.3gnJ iterations=%d", res.IdleWatts, res.Model.EPStall*1e9, res.Iterations)
+	t.Logf("idle=%gW EPStall=%.3gnJ", res.IdleWatts, res.Model.EPStall*1e9)
 	for _, op := range isa.ComputeOps() {
 		t.Logf("EPI %-8v calibrated=%.4f nJ", op, res.Model.EPI[op]*1e9)
 	}
@@ -33,14 +34,9 @@ func TestProbeCalibration(t *testing.T) {
 	}
 	t.Logf("fig4a MAE=%.2f%%", res.MixedMAEPct())
 
-	apps := workloads.All(workloads.Params{Scale: 1.0})
-	appErrs, err := ValidateApps(dev, res.Model, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range appErrs {
+	for _, e := range res.AppErrors {
 		t.Logf("fig4b %-11s err=%+.1f%%  (modeled %.3g J, measured %.3g J)",
 			e.Name, e.ErrPct(), e.ModeledJoules, e.MeasuredJoules)
 	}
-	t.Logf("fig4b MAE=%.1f%%", MAEPct(appErrs))
+	t.Logf("fig4b MAE=%.1f%%", MAEPct(res.AppErrors))
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"gpujoule/internal/bottomup"
-	"gpujoule/internal/calib"
-	"gpujoule/internal/silicon"
 	"gpujoule/internal/stats"
-	"gpujoule/internal/workloads"
 )
 
 // FidelityRow is one application's estimation error under each model.
@@ -37,41 +34,35 @@ type FidelityResult struct {
 // top-down against the reference silicon, then compare its
 // application-level accuracy with a bottom-up model tuned for the same
 // generation and with one tuned for the previous generation applied
-// without retuning.
+// without retuning. It rescores Validate's calibrated model and
+// application measurements, so it simulates nothing of its own.
 func (h *Harness) FidelityStudy() (FidelityResult, error) {
 	var res FidelityResult
-
-	dev := silicon.NewK40()
-	cal, err := calib.Calibrate(dev, calib.Options{})
+	v, err := h.Validate()
 	if err != nil {
 		return res, err
 	}
 	kepler := bottomup.TunedKepler()
 	fermi := bottomup.TunedFermi()
 
-	var td, kp, fm, fmSigned []float64
-	for _, app := range workloads.All(h.params) {
-		m, err := dev.Run(app)
-		if err != nil {
-			return res, err
-		}
+	var kp, fm []float64
+	for i, e := range v.Fig4b {
+		m := v.Calibration.AppRuns[i]
 		c := &m.Result.Counts
 		row := FidelityRow{
-			App:            app.Name,
-			TopDownPct:     stats.RelErrPct(cal.Model.EstimateEnergy(c), m.SensorJoules),
+			App:            e.Name,
+			TopDownPct:     e.ErrPct(),
 			KeplerTunedPct: stats.RelErrPct(kepler.Estimate(c), m.SensorJoules),
 			FermiTunedPct:  stats.RelErrPct(fermi.Estimate(c), m.SensorJoules),
 		}
 		res.Rows = append(res.Rows, row)
-		td = append(td, row.TopDownPct)
 		kp = append(kp, row.KeplerTunedPct)
 		fm = append(fm, row.FermiTunedPct)
-		fmSigned = append(fmSigned, row.FermiTunedPct)
 	}
-	res.TopDownMAE = stats.MeanAbs(td)
+	res.TopDownMAE = v.Fig4bMAEPct()
 	res.KeplerMAE = stats.MeanAbs(kp)
 	res.FermiMAE = stats.MeanAbs(fm)
-	res.FermiMeanErr = stats.Mean(fmSigned)
+	res.FermiMeanErr = stats.Mean(fm)
 	return res, nil
 }
 

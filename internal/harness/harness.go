@@ -6,10 +6,13 @@
 // canonical point key — the 2x-BW sweep feeds Figs. 2, 6, 7, and 10,
 // so regenerating the whole evaluation costs one pass per distinct
 // configuration regardless of how many experiments share it.
+// The §IV calibration and validation run on the same engine, once per
+// harness; the Fig. 3 step-3 accuracy gate is a calib test, not a loop.
 package harness
 
 import (
 	"context"
+	"sync"
 
 	"gpujoule/internal/core"
 	"gpujoule/internal/dvfs"
@@ -66,6 +69,9 @@ type Harness struct {
 
 	onPackage *core.Model
 	onBoard   *core.Model
+
+	valMu   sync.Mutex    // guards valCall
+	valCall *validateCall // Validate's in-flight or memoized outcome
 }
 
 // New returns a harness over the 14-workload evaluation subset at the

@@ -17,8 +17,8 @@
 // The L1 and L2 benchmarks carry a DRAM-saturating background stream:
 // the memory interface's utilization-dependent background power would
 // otherwise be mis-attributed to the cache transactions under
-// calibration. The known background transaction costs are subtracted
-// during calibration (the Fig. 3 refinement loop).
+// calibration. Calibration separates the background transaction costs
+// by solving the memory suite's transaction mixes as one linear system.
 package microbench
 
 import (
@@ -232,14 +232,16 @@ func MemorySuite() []Bench {
 }
 
 // MixedBench builds one Fig. 4a validation benchmark: FADD64 combined
-// with traffic to the given levels.
+// with traffic to the given levels. Like every microbenchmark its app
+// is named ubench-*, so its run-engine points never collide with a
+// workload's.
 func MixedBench(name string, body []trace.Inst, regions []trace.Region) Bench {
 	k := &trace.Kernel{
-		Name: name, Grid: benchGrid, WarpsPerCTA: benchWarps, Iters: benchIters,
+		Name: "ubench-" + name, Grid: benchGrid, WarpsPerCTA: benchWarps, Iters: benchIters,
 		Body: body,
 	}
 	app := &trace.App{
-		Name:          name,
+		Name:          k.Name,
 		Category:      trace.CategoryCompute,
 		Regions:       regions,
 		HostGapCycles: 1,

@@ -226,12 +226,14 @@ func (d *Device) Run(app *trace.App) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.measure(res), nil
+	return d.Measure(res), nil
 }
 
-// measure applies the hidden energy model and the sensor model to a
-// completed run.
-func (d *Device) measure(res *sim.Result) *Measurement {
+// Measure applies the hidden energy model and the sensor model to a
+// completed run of the device's Config, however it was simulated: a
+// batch of silicon runs can execute through a shared run engine and be
+// measured afterwards.
+func (d *Device) Measure(res *sim.Result) *Measurement {
 	clk := d.hid.Base.ClockHz
 	m := &Measurement{Result: res}
 
