@@ -1,14 +1,20 @@
-# Tier-1 verify is `make ci`: vet + build + race-checked unit tests +
-# the full (shape-test) suite. The -short race pass covers every unit
-# test including the run engine's concurrency tests in a few minutes;
-# the full suite without -race runs the multi-minute integration shape
-# tests once.
+# Tier-1 verify is `make ci`: gofmt + vet + build + race-checked unit
+# tests + the full (shape-test) suite. The -short race pass covers every
+# unit test including the run engine's concurrency tests in a few
+# minutes; the full suite without -race runs the multi-minute
+# integration shape tests once.
 GO ?= go
 
-.PHONY: build test race vet bench bench-sim bench-regress trace-regress ci smoke cluster-smoke dvfs-smoke
+.PHONY: build test race fmt vet bench bench-regress trace-regress ci smoke cluster-smoke dvfs-smoke
 
 build:
 	$(GO) build ./...
+
+# Fail when gofmt would rewrite any tracked Go file (tracked files only,
+# so build and benchmark scratch directories are never scanned).
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt -l: run gofmt -w on:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -24,13 +30,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Rerun the single-simulation benchmark protocol (interleaved A/B reps
-# of cmd/paper against a base rev, byte-compare every run) and rewrite
-# BENCH_sim.json. Run with a dirty tree to measure tree-vs-HEAD;
-# `scripts/bench_sim.sh <rev> <reps>` for other comparisons.
-bench-sim:
-	scripts/bench_sim.sh
 
 # Warn-only hot-path microbenchmark check against the checked-in
 # baseline (scripts/bench_baseline.txt). Never fails the build;
@@ -66,4 +65,4 @@ dvfs-smoke:
 cluster-smoke:
 	scripts/cluster_smoke.sh
 
-ci: vet build race test
+ci: fmt vet build race test

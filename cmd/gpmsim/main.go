@@ -64,7 +64,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON summary instead of text")
 	countersOut := flag.String("counters", "", "write per-GPM/per-link counters + energy attribution JSON to this file")
 	sample := flag.Float64("sample", 0, "with -counters, record a time-series sample every n cycles")
-	gpmParallel := flag.Int("gpm-parallel", 1, "per-simulation GPM lanes (>1 parallelizes inside the run; output is byte-identical at any value)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the run to this file")
 	httpAddr := flag.String("httpaddr", "", "serve live introspection (pprof, /progress, /metrics) on this address")
 	freqMHz := flag.Float64("freq", 0, "run at this K40 V/f-curve frequency in MHz (0 = nominal 1000)")
@@ -112,7 +111,6 @@ func main() {
 		Counters:       *countersOut != "",
 		SampleInterval: *sample,
 		Trace:          *traceOut != "",
-		GPMParallel:    *gpmParallel,
 	})
 	if *httpAddr != "" {
 		srv, err = profiling.ServeHTTP(*httpAddr, eng.Profile)

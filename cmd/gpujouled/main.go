@@ -122,7 +122,6 @@ func run() error {
 	queueCap := flag.Int("queue", 16, "admission queue capacity (jobs beyond it get 429)")
 	keepJobs := flag.Int("keep-jobs", 0, "retained terminal job records (0 = max(64, -queue))")
 	executors := flag.Int("executors", 2, "concurrently executing points")
-	gpmParallel := flag.Int("gpm-parallel", 1, "per-simulation GPM lanes, clamped so lanes*executors <= GOMAXPROCS (results are byte-identical at any value)")
 	tenants := flag.String("tenants", "", "per-tenant scheduler config: name=weight[:maxinflight],... (unlisted tenants get weight 1)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "how long a graceful drain may take before aborting")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (empty = single-node)")
@@ -196,7 +195,6 @@ func run() error {
 		CacheDir:       *cacheDir,
 		QueueCap:       *queueCap,
 		Executors:      *executors,
-		GPMParallel:    *gpmParallel,
 		Tenants:        tcfg,
 		KeepJobs:       kj,
 		Logf:           logger.Printf,

@@ -16,8 +16,8 @@
 // The DVFS studies (-only sweetspot, racetoidle, roofline) are not part
 // of the default report, so the nominal -markdown record stays
 // byte-stable. -freq pins the whole evaluation to a K40-curve operating
-// point (see internal/dvfs); -governor fixed is the only whole-report
-// policy — the adaptive policies are per-workload studies.
+// point (see internal/dvfs); the adaptive governors run per workload
+// under -only sweetspot and -only racetoidle.
 package main
 
 import (
@@ -43,10 +43,8 @@ func main() {
 	csvDir := flag.String("csvdir", "", "with -markdown: also write each experiment's data as CSV into this directory")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = one per CPU)")
-	gpmParallel := flag.Int("gpm-parallel", 1, "per-simulation GPM lanes (>1 parallelizes inside each run; output is byte-identical at any value)")
 	traceOut := flag.String("trace", "", "write a multi-point Chrome trace_event timeline of every distinct simulation to this file (.gz compresses)")
 	freqMHz := flag.Float64("freq", 0, "run the whole evaluation at this K40 V/f-curve frequency in MHz (0 = nominal 1000)")
-	governor := flag.String("governor", "fixed", `operating-point policy for the whole report; only "fixed" applies here (for adaptive policies see -only sweetspot / racetoidle)`)
 	progress := flag.Bool("progress", false, "report simulation progress on stderr")
 	version := flag.Bool("version", false, "print schema and module version, then exit")
 	flag.Parse()
@@ -71,12 +69,7 @@ func main() {
 		return
 	}
 
-	if *governor != "fixed" {
-		fmt.Fprintf(os.Stderr, "paper: unknown -governor %q (only \"fixed\" applies to the whole report; "+
-			"run the adaptive policies with -only sweetspot or -only racetoidle)\n", *governor)
-		os.Exit(1)
-	}
-	opts := harness.Options{Scale: *scale, Workers: *workers, GPMParallel: *gpmParallel, Trace: *traceOut != ""}
+	opts := harness.Options{Scale: *scale, Workers: *workers, Trace: *traceOut != ""}
 	if *freqMHz != 0 {
 		p, err := dvfs.K40Curve().AtMHz(*freqMHz)
 		if err != nil {

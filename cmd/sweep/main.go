@@ -98,7 +98,6 @@ func run() (err error) {
 	scale := flag.Float64("scale", 0.5, "workload scale factor")
 	out := flag.String("o", "", "output file (default stdout)")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = one per CPU)")
-	gpmParallel := flag.Int("gpm-parallel", 1, "per-simulation GPM lanes (>1 parallelizes inside each run; output is byte-identical at any value)")
 	progress := flag.Bool("progress", false, "report point progress on stderr")
 	countersOut := flag.String("counters", "", "write per-GPM/per-link counters + energy attribution JSON to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of every point to this file")
@@ -193,7 +192,7 @@ func run() (err error) {
 	} else {
 		rows, results, ops, err = runLocal(localOptions{
 			names: *names, all: *all, scale: *scale,
-			workers: *workers, gpmParallel: *gpmParallel, progress: *progress,
+			workers: *workers, progress: *progress,
 			countersOut: *countersOut, traceOut: *traceOut, httpAddr: *httpAddr,
 			op: op, governor: *governor,
 		}, cfgs)
@@ -279,7 +278,6 @@ type localOptions struct {
 	all, progress                          bool
 	scale                                  float64
 	workers                                int
-	gpmParallel                            int
 	op                                     dvfs.OperatingPoint
 	governor                               string
 }
@@ -316,11 +314,10 @@ func runLocal(o localOptions, cfgs []sim.Config) ([]row, []*sim.Result, []dvfs.O
 		}
 	}
 	eng := runner.New(runner.Options{
-		Workers:     o.workers,
-		GPMParallel: o.gpmParallel,
-		OnEvent:     onEvent,
-		Counters:    o.countersOut != "",
-		Trace:       o.traceOut != "",
+		Workers:  o.workers,
+		OnEvent:  onEvent,
+		Counters: o.countersOut != "",
+		Trace:    o.traceOut != "",
 	})
 	if o.httpAddr != "" {
 		var err error

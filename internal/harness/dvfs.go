@@ -291,11 +291,7 @@ func (h *Harness) EnergyRooflineStudy(gpmCounts []int) (RooflineResult, error) {
 		}
 	}
 
-	eng := runner.New(runner.Options{
-		Workers:     h.engine.Workers(),
-		Counters:    true,
-		GPMParallel: h.engine.GPMParallel(),
-	})
+	eng := runner.New(runner.Options{Workers: h.engine.Workers(), Counters: true})
 	var pts []runner.Point
 	for _, app := range h.apps {
 		for _, cfg := range cfgs {

@@ -30,11 +30,7 @@ func (h *Harness) EnergyAttributionStudy() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := runner.New(runner.Options{
-		Workers:     h.engine.Workers(),
-		Counters:    true,
-		GPMParallel: h.engine.GPMParallel(),
-	})
+	eng := runner.New(runner.Options{Workers: h.engine.Workers(), Counters: true})
 
 	var points []runner.Point
 	for _, n := range energyAttrSteps {

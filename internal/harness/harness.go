@@ -41,10 +41,6 @@ type Options struct {
 	// Counters enables per-GPM/per-link observability counters on every
 	// simulation the harness runs (see internal/obs).
 	Counters bool
-	// GPMParallel, when > 1, runs each simulation's GPMs on up to this
-	// many parallel lanes (runner.Options.GPMParallel); results and
-	// every rendered table stay byte-identical at any lane count.
-	GPMParallel int
 	// Trace records a timeline trace on every simulation the harness
 	// runs (runner.Options.Trace, implies counters); collect the traces
 	// with Engine().Traces().
@@ -90,11 +86,10 @@ func NewWithOptions(opts Options) *Harness {
 		params: workloads.Params{Scale: opts.Scale},
 		apps:   workloads.Eval14(workloads.Params{Scale: opts.Scale}),
 		engine: runner.New(runner.Options{
-			Workers:     opts.Workers,
-			OnEvent:     opts.OnEvent,
-			Counters:    opts.Counters,
-			GPMParallel: opts.GPMParallel,
-			Trace:       opts.Trace,
+			Workers:  opts.Workers,
+			OnEvent:  opts.OnEvent,
+			Counters: opts.Counters,
+			Trace:    opts.Trace,
 		}),
 		ctx:       ctx,
 		op:        opts.OperatingPoint,

@@ -34,10 +34,10 @@ type BWResource struct {
 	// the identical IEEE-754 quotient, just computed once, so results
 	// are bit-identical.
 	lineCycles float64
-	bucketCap float64 // bytes per bucket
-	used         []float64
-	mask         int64 // len(used)-1; the window length is a power of two
-	base         int64 // bucket index of the window start
+	bucketCap  float64 // bytes per bucket
+	used       []float64
+	mask       int64 // len(used)-1; the window length is a power of two
+	base       int64 // bucket index of the window start
 
 	// minFree is a skip hint: every bucket with index in [base, minFree)
 	// is known full, so a request arriving below it starts its walk at

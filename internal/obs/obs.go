@@ -11,9 +11,10 @@
 // The layer is strictly opt-in and zero-cost when disabled: a run
 // without sim.WithCounters carries a nil *Collector and the simulator
 // never touches it, so disabled-path output is byte-identical to a
-// build without this package. Collection is per-run and single-threaded
-// (one Collector per simulated GPU), so counters are deterministic
-// regardless of how many runner workers execute the grid.
+// build without this package. Collection is per-run (one Collector per
+// simulated GPU), so counters are deterministic regardless of how many
+// runner workers execute the grid, and at any sim.WithGPMParallel lane
+// count (see Collector).
 //
 // All exported structs carry stable, documented JSON field names: the
 // schema (SchemaVersion) is shared by the -counters export of
@@ -150,11 +151,14 @@ func (c *Counters) TotalLinkBytes() uint64 {
 }
 
 // Collector accumulates counters during one simulation run. It is
-// owned by a single GPU instance and is not safe for concurrent use —
-// the simulator is single-threaded per run, which is what makes the
-// counters deterministic across runner worker counts. A nil *Collector
-// is the disabled state; the simulator guards every update with a nil
-// check, so the disabled path costs one predictable branch.
+// owned by a single GPU instance and has no locks. When that GPU runs
+// its GPMs on parallel lanes (sim.WithGPMParallel), each lane writes its
+// own GPM's entry, touches another module's entry only under the
+// simulator's turnstile, and samples and timeline records are taken
+// between epochs, so the counters are deterministic at any lane count
+// and across runner worker counts. A nil *Collector is the disabled
+// state; the simulator guards every update with a nil check, so the
+// disabled path costs one predictable branch.
 type Collector struct {
 	// GPMs is indexed by physical module id; the simulator updates the
 	// entries in place on its hot paths.

@@ -127,14 +127,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminismGPMParallel is the byte-identity matrix for
-// intra-run parallelism: the same points simulated at GPM lane counts
-// {1, 2, 8} and engine worker counts {1, 4} must all serialize to
-// exactly the bytes of the sequential single-worker run — counters and
-// sampler timeline included. GOMAXPROCS is raised for the test's
-// duration so the lanes genuinely run concurrently (on a 1-core box
-// the budget would otherwise quietly serialize them and the matrix
-// would not exercise the turnstile at all).
+// TestGoldenDeterminismGPMParallel is the byte-identity check for
+// intra-run parallelism (sim.WithGPMParallel): the same point simulated
+// on 2 and 8 GPM lanes must serialize to exactly the bytes of the
+// sequential run, for a counters-plus-sampler run and for a traced one.
+// GOMAXPROCS is raised for the test's duration so the lane goroutines
+// run on separate threads even on a small host, interleaving at
+// arbitrary points rather than only where they block on the turnstile.
 func TestGoldenDeterminismGPMParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(16)
 	defer runtime.GOMAXPROCS(old)
@@ -142,53 +141,27 @@ func TestGoldenDeterminismGPMParallel(t *testing.T) {
 	app := goldenApp()
 	cfg := sim.MultiGPM(8, sim.BW1x)
 
-	// Sequential reference with counters and a mid-launch sampler (the
-	// sampler reads the collector at epoch boundaries, exactly where
-	// the parallel driver parks its lanes — the most delicate spot).
-	ref, err := sim.Simulate(context.Background(), cfg, app,
-		sim.WithCounters(), sim.WithSampler(2048))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := marshalResult(t, ref)
-	for _, lanes := range []int{2, 8} {
-		res, err := sim.Simulate(context.Background(), cfg, app,
-			sim.WithCounters(), sim.WithSampler(2048), sim.WithGPMParallel(lanes))
+	for name, opts := range map[string][]sim.Option{
+		// A mid-launch sampler reads the collector at epoch boundaries,
+		// exactly where the parallel driver parks its lanes — the most
+		// delicate spot.
+		"counters+sampler": {sim.WithCounters(), sim.WithSampler(2048)},
+		// The timeline adds per-launch phases and link-busy snapshots.
+		"trace": {sim.WithTrace()},
+	} {
+		ref, err := sim.Simulate(context.Background(), cfg, app, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pb := marshalResult(t, res); !bytes.Equal(rb, pb) {
-			t.Fatalf("%d-lane simulation differs from sequential:\nseq:\n%s\nlanes:\n%s", lanes, rb, pb)
-		}
-	}
-
-	// The engine matrix: every (workers × gpm-parallel) combination
-	// must reproduce the lane-less single-worker counters JSON for
-	// every point of a mixed-size batch.
-	pts := []runner.Point{
-		{App: app, Scale: 1, Config: cfg},
-		{App: app, Scale: 1, Config: sim.MultiGPM(4, sim.BW2x)},
-		{App: app, Scale: 1, Config: sim.MultiGPM(2, sim.BW2x)},
-		{App: app, Scale: 1, Config: sim.MultiGPM(1, sim.BW1x)},
-	}
-	var want [][]byte
-	for _, workers := range []int{1, 4} {
-		for _, lanes := range []int{1, 2, 8} {
-			eng := runner.New(runner.Options{Workers: workers, GPMParallel: lanes, Counters: true})
-			results, err := eng.Run(context.Background(), pts)
+		rb := marshalResult(t, ref)
+		for _, lanes := range []int{2, 8} {
+			laneOpts := append(append([]sim.Option(nil), opts...), sim.WithGPMParallel(lanes))
+			res, err := sim.Simulate(context.Background(), cfg, app, laneOpts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, res := range results {
-				pb := marshalResult(t, res)
-				if want == nil || i >= len(want) {
-					want = append(want, pb)
-					continue
-				}
-				if !bytes.Equal(want[i], pb) {
-					t.Fatalf("point %d at workers=%d lanes=%d differs from workers=1 lanes=1:\nwant:\n%s\ngot:\n%s",
-						i, workers, lanes, want[i], pb)
-				}
+			if pb := marshalResult(t, res); !bytes.Equal(rb, pb) {
+				t.Fatalf("%s: %d-lane simulation differs from sequential:\nseq:\n%s\nlanes:\n%s", name, lanes, rb, pb)
 			}
 		}
 	}

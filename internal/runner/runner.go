@@ -117,16 +117,6 @@ type Options struct {
 	// keep their own (disk-backed) result cache use this to keep the
 	// engine's memory footprint bounded.
 	Ephemeral bool
-	// GPMParallel, when > 1, runs each simulation's GPMs on up to this
-	// many parallel lanes per epoch (sim.WithGPMParallel). Results are
-	// bit-identical at every lane count, so memoization keys and golden
-	// outputs are unaffected. Extra lanes beyond each simulation's own
-	// worker draw from a shared budget sized to the cores left over
-	// after the worker pool (GOMAXPROCS - Workers, floored at zero), so
-	// intra-run parallelism fills idle cores — e.g. the tail of a batch
-	// where fewer points than workers remain — without oversubscribing
-	// a fully busy pool.
-	GPMParallel int
 }
 
 // Stats is a snapshot of an engine's lifetime counters.
@@ -158,12 +148,10 @@ type Stats struct {
 // memoization. The zero value is not usable; construct with New. An
 // Engine is safe for concurrent use.
 type Engine struct {
-	workers     int
-	gpmParallel int
-	budget      *sim.Budget // nil unless gpmParallel > 1
-	onEvent     func(Event)
-	simOpts     []sim.Option
-	ephemeral   bool
+	workers   int
+	onEvent   func(Event)
+	simOpts   []sim.Option
+	ephemeral bool
 
 	evMu   sync.Mutex // serializes event delivery, guards subs
 	subs   map[int]func(Event)
@@ -206,37 +194,18 @@ func New(opts Options) *Engine {
 	if opts.Trace {
 		simOpts = append(simOpts, sim.WithTrace())
 	}
-	gp := opts.GPMParallel
-	var budget *sim.Budget
-	if gp > 1 {
-		budget = sim.NewBudget(runtime.GOMAXPROCS(0) - w)
-		simOpts = append(simOpts, sim.WithGPMParallel(gp), sim.WithParallelBudget(budget))
-	} else {
-		gp = 1
-	}
 	return &Engine{
-		workers:     w,
-		gpmParallel: gp,
-		budget:      budget,
-		onEvent:     opts.OnEvent,
-		simOpts:     simOpts,
-		ephemeral:   opts.Ephemeral,
-		cache:       make(map[string]*entry),
-		active:      make(map[int]time.Time),
+		workers:   w,
+		onEvent:   opts.OnEvent,
+		simOpts:   simOpts,
+		ephemeral: opts.Ephemeral,
+		cache:     make(map[string]*entry),
+		active:    make(map[int]time.Time),
 	}
 }
 
 // Workers returns the engine's concurrency bound.
 func (e *Engine) Workers() int { return e.workers }
-
-// GPMParallel returns the per-simulation GPM lane count (1 when intra-
-// run parallelism is off).
-func (e *Engine) GPMParallel() int { return e.gpmParallel }
-
-// ParallelBudget returns the shared budget extra GPM lanes draw from,
-// or nil when intra-run parallelism is off. Callers expose its Cap and
-// Free in metrics.
-func (e *Engine) ParallelBudget() *sim.Budget { return e.budget }
 
 // Distinct reports how many distinct simulations the cache holds.
 func (e *Engine) Distinct() int {

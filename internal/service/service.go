@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"sync"
@@ -336,16 +335,6 @@ type Options struct {
 	// bound still governs simulation parallelism; coalesced points
 	// join in-flight work without consuming an executor.
 	Executors int
-	// GPMParallel, when > 1, runs each simulation's GPMs on up to
-	// this many parallel lanes (runner.Options.GPMParallel). Results
-	// are byte-identical at any lane count, so lanes do not enter the
-	// cache key. The requested value is capped so that
-	// GPMParallel × Executors never exceeds GOMAXPROCS — lanes fill
-	// otherwise-idle cores, they must not oversubscribe the node —
-	// and the extra lanes further share the engine's dynamic budget
-	// (GOMAXPROCS − Workers) at run time. The effective lane count
-	// and budget appear on /metrics.
-	GPMParallel int
 	// DefaultFreqMHz stamps grid jobs that did not pick an operating
 	// point with this K40 V/f-curve frequency (0 leaves them at the
 	// nominal 1000 MHz). Explicit-point jobs are never restamped.
@@ -468,17 +457,6 @@ func New(opts Options) (*Server, error) {
 	if opts.Counters {
 		optsSig = "counters"
 	}
-	// Cap intra-run parallelism so GPMParallel × Executors stays
-	// within GOMAXPROCS: every executor can be driving a point
-	// through the engine at once, and each point may fan its GPMs
-	// across this many lanes. Lane count never changes results, so
-	// clamping is an execution decision, not a correctness one.
-	if max := runtime.GOMAXPROCS(0) / opts.Executors; opts.GPMParallel > max {
-		opts.GPMParallel = max
-	}
-	if opts.GPMParallel < 1 {
-		opts.GPMParallel = 1
-	}
 	s := &Server{
 		opts:     opts,
 		optsSig:  optsSig,
@@ -492,10 +470,9 @@ func New(opts Options) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.eng = runner.New(runner.Options{
-		Workers:     opts.Workers,
-		Counters:    opts.Counters,
-		GPMParallel: opts.GPMParallel,
-		Ephemeral:   true, // the disk cache is the system of record
+		Workers:   opts.Workers,
+		Counters:  opts.Counters,
+		Ephemeral: true, // the disk cache is the system of record
 		OnEvent: func(ev runner.Event) {
 			if ev.Kind == runner.PointDone {
 				s.prof.SetProgress(ev.Completed, ev.Total)
@@ -939,18 +916,6 @@ func (s *Server) writeServiceMetrics(w io.Writer) {
 		profiling.WriteCounter(w, "gpujoule_result_cache_misses", "Disk result-cache misses.", float64(cs.Misses))
 		profiling.WriteCounter(w, "gpujoule_result_cache_puts", "Disk result-cache entries written.", float64(cs.Puts))
 		profiling.WriteCounter(w, "gpujoule_result_cache_corrupt", "Corrupt result-cache entries dropped.", float64(cs.Corrupt))
-	}
-	// Intra-run parallelism: the effective (post-clamp) lane count and
-	// the shared budget extra lanes draw from. A budget appears only
-	// when lanes > 1; cap/free are 0 on a lane-less engine.
-	profiling.WriteGauge(w, "gpujoule_gpm_parallel_lanes",
-		"Effective per-simulation GPM lanes (after the GOMAXPROCS/executors clamp).",
-		float64(s.eng.GPMParallel()))
-	if b := s.eng.ParallelBudget(); b != nil {
-		profiling.WriteGauge(w, "gpujoule_gpm_parallel_budget_cap",
-			"Extra-lane budget shared by all in-flight simulations.", float64(b.Cap()))
-		profiling.WriteGauge(w, "gpujoule_gpm_parallel_budget_free",
-			"Extra-lane budget currently unclaimed.", float64(b.Free()))
 	}
 	retryAfter := s.RetryAfterSeconds()
 	s.mu.Lock()

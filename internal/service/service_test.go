@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -55,44 +54,6 @@ func waitState(t *testing.T, s *Server, id string, want State) JobStatus {
 	}
 	t.Fatalf("job %s never reached %s", id, want)
 	return JobStatus{}
-}
-
-// TestGPMParallelClamp checks the service-side cap on intra-run
-// parallelism: the effective lane count never lets
-// GPMParallel × Executors exceed GOMAXPROCS, and an over-asked server
-// still runs jobs to byte-identical results (lanes are not part of
-// the cache key, so the clamp can never re-address entries).
-func TestGPMParallelClamp(t *testing.T) {
-	s := newTestServer(t, Options{Executors: 2, GPMParallel: 1 << 16})
-
-	want := runtime.GOMAXPROCS(0) / 2
-	if want < 1 {
-		want = 1
-	}
-	if got := s.Engine().GPMParallel(); got != want {
-		t.Errorf("effective lanes = %d, want %d (GOMAXPROCS %d / 2 executors)",
-			got, want, runtime.GOMAXPROCS(0))
-	}
-	if want > 1 && s.Engine().ParallelBudget() == nil {
-		t.Error("multi-lane engine has no shared budget")
-	}
-
-	st, err := s.Submit(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin, err := s.Wait(context.Background(), st.ID); err != nil || fin.State != StateDone {
-		t.Fatalf("job under clamped lanes: %+v, err %v", fin, err)
-	}
-
-	// Asking for nothing keeps the engine lane-less.
-	s1 := newTestServer(t, Options{Executors: 2})
-	if got := s1.Engine().GPMParallel(); got != 1 {
-		t.Errorf("default lanes = %d, want 1", got)
-	}
-	if s1.Engine().ParallelBudget() != nil {
-		t.Error("lane-less engine carries a budget")
-	}
 }
 
 // TestJobRoundTrip submits the same sweep twice against one server:
@@ -570,7 +531,6 @@ func TestHTTPSurface(t *testing.T) {
 		"gpujoule_queue_capacity 16",
 		`gpujoule_jobs{state="done"} 1`,
 		"gpujoule_runner_workers",
-		"gpujoule_gpm_parallel_lanes",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

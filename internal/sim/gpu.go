@@ -46,10 +46,8 @@ type GPU struct {
 	// of per miss.
 	memSideFill bool
 
-	// par is the requested per-GPM lane count (WithGPMParallel); budget
-	// is the optional shared parallelism budget extra lanes draw from.
-	par    int
-	budget *Budget
+	// par is the requested per-GPM lane count (WithGPMParallel).
+	par int
 
 	// Clock-domain conversions (see Config.clockScale): the DRAM access
 	// latency and inter-GPM hop latency are fixed in wall time, so in
@@ -238,7 +236,6 @@ func newGPU(cfg Config, app *trace.App, o simOptions) (*GPU, error) {
 
 	g.memSideFill = cfg.L2 == L2MemorySide && len(g.gpms) > 1
 	g.par = o.gpmParallel
-	g.budget = o.budget
 
 	g.res = &Result{App: app.Name, Config: cfg}
 	if o.counters {
@@ -495,28 +492,13 @@ func (g *GPU) runLaunch(k *trace.Kernel) error {
 }
 
 // runEpochs drives the launch's epoch loop. With more than one lane
-// granted (requested via WithGPMParallel, clamped to the GPM count and
-// the shared budget) the per-GPM work of each epoch runs on parallel
-// lanes with shared-state order preserved by a turnstile; otherwise the
-// historical sequential loop runs with zero added synchronization. Both
-// paths produce bit-identical results (see DESIGN.md "Performance
-// engineering").
+// requested (WithGPMParallel, clamped to the GPM count) the per-GPM
+// work of each epoch runs on parallel lanes with shared-state order
+// preserved by a turnstile; otherwise the historical sequential loop
+// runs with zero added synchronization. Both paths produce
+// bit-identical results (see DESIGN.md "Performance engineering").
 func (g *GPU) runEpochs(eng *launchEngine, k *trace.Kernel, start float64) error {
-	lanes := 1
-	if g.par > 1 && len(g.gpms) > 1 {
-		lanes = g.par
-		if lanes > len(g.gpms) {
-			lanes = len(g.gpms)
-		}
-		if g.budget != nil {
-			// One lane is the caller's own token; extra lanes draw from
-			// the shared budget and are returned at launch end.
-			extra := g.budget.TryAcquire(lanes - 1)
-			defer g.budget.Release(extra)
-			lanes = 1 + extra
-		}
-	}
-	if lanes > 1 {
+	if lanes := min(g.par, len(g.gpms)); lanes > 1 {
 		return g.runEpochsParallel(eng, k, start, lanes)
 	}
 

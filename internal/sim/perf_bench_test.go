@@ -96,12 +96,12 @@ func memApp(ctas, warpsPerCTA, iters int) *trace.App {
 }
 
 // BenchmarkGPMParallelEpoch measures one full 8-GPM simulation at lane
-// counts 1, 2, 4, and 8 (nil budget: lanes run unthrottled). On a
-// multi-core host wall time should fall with lanes until the epoch
-// barrier dominates; on a single-core host the turnstile's overhead
-// over the sequential sweep is what's being measured. Results are
-// byte-identical at every lane count (TestGoldenDeterminismGPMParallel),
-// so this benchmark is purely about wall clock.
+// counts 1, 2, 4, and 8. On a multi-core host wall time should fall
+// with lanes until the epoch barrier dominates; on a single-core host
+// the turnstile's overhead over the sequential sweep is what's being
+// measured. Results are byte-identical at every lane count
+// (TestGoldenDeterminismGPMParallel), so this benchmark is purely about
+// wall clock.
 func BenchmarkGPMParallelEpoch(b *testing.B) {
 	cfg := MultiGPM(8, BW1x)
 	app := memApp(64, 4, 24)

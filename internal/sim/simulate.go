@@ -27,7 +27,6 @@ type simOptions struct {
 	trace          bool
 	sampleInterval float64
 	gpmParallel    int
-	budget         *Budget
 }
 
 // defaultTraceSampleCycles is the sampler interval WithTrace installs
@@ -40,10 +39,12 @@ const defaultTraceSampleCycles = 5000
 // WithCounters enables the observability layer: the returned Result
 // carries a Counters snapshot with per-GPM instruction/stall/cache
 // counters, the local-vs-remote fill split, and per-link fabric bytes
-// and queueing delay. Collection is deterministic (the simulator is
-// single-threaded per run) and costs one predictable branch per event
-// when enabled; without this option Result.Counters is nil and the
-// simulation path is untouched.
+// and queueing delay. Collection is deterministic at any
+// WithGPMParallel lane count: a lane writes its own GPM's counters,
+// touches another module's counters or shared state only under the
+// turnstile, and shards merge in GPM order. It costs one predictable
+// branch per event when enabled; without this option Result.Counters is
+// nil and the simulation path is untouched.
 func WithCounters() Option {
 	return func(o *simOptions) { o.counters = true }
 }
@@ -89,19 +90,12 @@ func WithTrace() Option {
 // sequential engine. Speedup is workload-dependent: lanes overlap each
 // GPM's private work (warp scheduling, L1/module-side-L2 traffic) and
 // serialize at shared resources (page homing, DRAM stacks, fabric).
+// Lanes are not budgeted against other goroutines, and no CLI, runner
+// or service option sets them: across-point workers already fill the
+// cores, and two lanes ran at 0.97× of sequential on the benchmark's
+// 32-GPM single_point workload on a 2-core host.
 func WithGPMParallel(n int) Option {
 	return func(o *simOptions) { o.gpmParallel = n }
-}
-
-// WithParallelBudget makes extra per-GPM lanes draw from a shared
-// Budget instead of being granted unconditionally: each launch takes
-// up to lanes-1 tokens (non-blocking) and returns them when the launch
-// ends. Callers running many simulations concurrently (the runner, the
-// service) share one budget sized against GOMAXPROCS so intra-run
-// parallelism composes with the worker pool instead of oversubscribing
-// it. A nil budget means unbudgeted. No effect without WithGPMParallel.
-func WithParallelBudget(b *Budget) Option {
-	return func(o *simOptions) { o.budget = b }
 }
 
 // Simulate runs the whole application on the configured GPU and
